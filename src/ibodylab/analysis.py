@@ -1,9 +1,12 @@
 """Norms, degree spectra, multiplier operators, and derivative bounds.
 
-Functions here accept either representation (ZonalProfile or S2Function)
-and dispatch on type.  Sup norms are measured on an evaluation set refined
-4x beyond the storage rule plus a local quadratic polish around the best
-node.  Second differentials refer to the degree-0 homogeneous extension
+Functions here accept either representation through the interface that
+ZonalProfile and S2Function share (coeffs, degrees, with_coeffs, energies,
+refined_set, refined_values); only the sup-norm scan and the derivative
+norms, whose algorithms differ, look at which one they got.  Sup norms
+are measured on the profile's refined evaluation set (4x finer than its
+storage rule or grid) plus a local quadratic polish around the best node.
+Second differentials refer to the degree-0 homogeneous extension
 f(x/|x|) of a function on the sphere: its ambient Hessian at a surface
 point has the tangential covariant Hessian as one block, minus the surface
 gradient as the mixed radial-tangential entries, and zero radially.
@@ -13,11 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quadrature import gauss_jacobi_rule, s2_grid
-from .sphharm import S2Function, eval_s2_at_points, sh_degrees
-from .zonal import ZonalProfile, sphere_exponent
-
-Function = "ZonalProfile | S2Function"
+from .sphharm import S2Function, eval_s2_at_points, tangent_frame
+from .zonal import ZonalProfile
 
 
 # ---------------------------------------------------------------------------
@@ -42,13 +42,7 @@ def project_degree(f, k: int):
     """The degree-k component of f, same representation."""
     if k > f.band_limit:
         raise ValueError(f"degree {k} exceeds band limit {f.band_limit}")
-    if isinstance(f, ZonalProfile):
-        c = np.zeros_like(f.coeffs)
-        c[k] = f.coeffs[k]
-        return ZonalProfile.from_coeffs(f.dim, c, f.rule)
-    c = np.zeros_like(f.coeffs)
-    c[k * k:(k + 1) ** 2] = f.coeffs[k * k:(k + 1) ** 2]
-    return S2Function.from_coeffs(c, f.grid)
+    return f.with_coeffs(np.where(f.degrees == k, f.coeffs, 0.0))
 
 
 def _multiplier_values(m, kmax: int) -> np.ndarray:
@@ -68,9 +62,7 @@ def apply_multiplier(f, m):
     `m` may be a callable, a dict, or an array indexed by degree.
     """
     vals = _multiplier_values(m, f.band_limit)
-    if isinstance(f, ZonalProfile):
-        return ZonalProfile.from_coeffs(f.dim, f.coeffs * vals, f.rule)
-    return S2Function.from_coeffs(f.coeffs * vals[sh_degrees(f.band_limit)], f.grid)
+    return f.with_coeffs(f.coeffs * vals[f.degrees])
 
 
 # ---------------------------------------------------------------------------
@@ -127,23 +119,20 @@ def _polish_max(ts: np.ndarray, vals: np.ndarray, evaluator) -> float:
 
 
 def sup_norm(f, refine: int = 4) -> float:
-    """Sup of |f| on a refined evaluation set plus a quadratic polish."""
+    """Sup of |f| on the refined evaluation set plus a quadratic polish."""
+    vals = f.refined_values(refine)
     if isinstance(f, ZonalProfile):
-        fine = gauss_jacobi_rule(f.dim, sphere_exponent(f.dim),
-                                 refine * f.rule.order)
-        ts = np.concatenate(([-1.0], fine.nodes, [1.0]))
-        vals = f.eval_at(ts)
+        ts = f.refined_set(refine)
         up = _polish_max(ts, vals, f.eval_at)
         dn = _polish_max(ts, -vals, lambda t: -f.eval_at(t))
         return max(up, dn)
-    # S2: refined product grid plus the poles
-    fine = s2_grid(max(refine * (f.grid.n_theta - 1), 2 * f.band_limit + 1))
-    vals = f.eval_at_points(fine.points())
-    poles = f.eval_at_points(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
-    best = max(float(np.abs(vals).max()), float(np.abs(poles).max()))
-    # polish along the colatitude scan through the best grid node
-    i, j = np.unravel_index(np.argmax(np.abs(vals)), vals.shape)
-    sgn = float(np.sign(vals[i, j])) or 1.0
+    best = float(np.abs(vals).max())
+    # polish along the colatitude scan through the best grid node (the
+    # poles, which close the refined set, are not grid nodes)
+    fine = f.refined_grid(refine)
+    grid_vals = vals[:fine.weights.size].reshape(fine.weights.shape)
+    i, j = np.unravel_index(np.argmax(np.abs(grid_vals)), grid_vals.shape)
+    sgn = float(np.sign(grid_vals[i, j])) or 1.0
     theta = np.arccos(fine.x)
     phi = fine.phi[j]
 
@@ -151,8 +140,7 @@ def sup_norm(f, refine: int = 4) -> float:
         p = np.array([np.sin(th) * np.cos(phi), np.sin(th) * np.sin(phi), np.cos(th)])
         return sgn * float(f.eval_at_points(p[None, :])[0])
 
-    best = max(best, _polish_max(theta, sgn * vals[:, j], along_theta))
-    return best
+    return max(best, _polish_max(theta, sgn * grid_vals[:, j], along_theta))
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +153,18 @@ def approx_decay_norm(f, alpha: float, n_max: int | None = None) -> float:
     The degree-n L^2 truncation is the best polynomial approximant, so the
     tails are tail_n = sqrt(sum of energies above degree n).
     """
+    return max(sup_norm(f), _decay_tail(f, alpha, n_max))
+
+
+def _decay_tail(f, alpha: float, n_max: int | None = None) -> float:
+    """max over 1 <= n <= n_max of n^alpha tail_n (0 with no such n)."""
     if n_max is None:
         n_max = f.band_limit
     e = f.energies()
     tails_sq = np.concatenate((np.cumsum(e[::-1])[::-1], [0.0]))[1:]  # tail after n, n=0..
     ns = np.arange(1, min(n_max, f.band_limit) + 1, dtype=float)
     tail_terms = ns**alpha * np.sqrt(np.maximum(tails_sq[1:len(ns) + 1], 0.0))
-    return max(sup_norm(f), float(tail_terms.max()) if tail_terms.size else 0.0)
+    return float(tail_terms.max()) if tail_terms.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +220,7 @@ def _s2_fd_parts(f: S2Function, pts: np.ndarray, step: float):
     return gnorm, hnorm
 
 
-def _tangent_frame(x: np.ndarray):
-    a = np.array([1.0, 0.0, 0.0]) if abs(x[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
-    u = np.cross(a, x)
-    u /= np.linalg.norm(u)
-    v = np.cross(x, u)
-    return u, v
+CIRCLE_BLOCK = 1024  # points per batch of great circles in _s2_spectral_parts
 
 
 def _s2_spectral_parts(f: S2Function, pts: np.ndarray):
@@ -240,36 +228,36 @@ def _s2_spectral_parts(f: S2Function, pts: np.ndarray):
 
     Restricted to a great circle through x a band-L function is a degree-L
     trigonometric polynomial, so derivatives at the point are exact up to
-    roundoff.  Used as the independent cross-check of the FD path.
+    roundoff.  Used as the independent cross-check of the FD path.  Points
+    go CIRCLE_BLOCK at a time to bound the memory of the circles.
     """
-    L = f.band_limit
-    M = 2 * L + 9
+    M = 2 * f.band_limit + 9
     s = 2.0 * np.pi * np.arange(M) / M
-    cs, sn = np.cos(s), np.sin(s)
+    cs, sn = np.cos(s)[:, None, None], np.sin(s)[:, None, None]
+    m = np.arange(M // 2 + 1)[1:, None]
     gnorm = np.empty(len(pts))
     hnorm = np.empty(len(pts))
 
     def circle_derivs(x, w):
-        vals = f.eval_at_points(np.outer(cs, x) + np.outer(sn, w))
-        F = np.fft.rfft(vals) / M
-        m = np.arange(F.size)
-        d1 = float((-2.0 * F.imag * m)[1:].sum())
-        d2 = float((-2.0 * F.real * m * m)[1:].sum())
-        return d1, d2
+        vals = f.eval_at_points(cs * x + sn * w)           # (M, n)
+        F = np.fft.rfft(vals, axis=0)[1:] / M
+        return (-2.0 * F.imag * m).sum(axis=0), (-2.0 * F.real * m * m).sum(axis=0)
 
-    for idx, x in enumerate(pts):
-        u, v = _tangent_frame(x)
+    for lo in range(0, len(pts), CIRCLE_BLOCK):
+        x = pts[lo:lo + CIRCLE_BLOCK]
+        u, v = tangent_frame(x)
         du, huu = circle_derivs(x, u)
         dv, hvv = circle_derivs(x, v)
         _, hdiag = circle_derivs(x, (u + v) / np.sqrt(2.0))
         huv = hdiag - 0.5 * (huu + hvv)
-        hess = np.array([
-            [0.0, -du, -dv],
-            [-du, huu, huv],
-            [-dv, huv, hvv],
-        ])
-        gnorm[idx] = float(np.hypot(du, dv))
-        hnorm[idx] = float(np.abs(np.linalg.eigvalsh(hess)).max())
+        zero = np.zeros_like(du)
+        hess = np.stack([
+            np.stack([zero, -du, -dv], axis=-1),
+            np.stack([-du, huu, huv], axis=-1),
+            np.stack([-dv, huv, hvv], axis=-1),
+        ], axis=-2)
+        gnorm[lo:lo + CIRCLE_BLOCK] = np.hypot(du, dv)
+        hnorm[lo:lo + CIRCLE_BLOCK] = np.abs(np.linalg.eigvalsh(hess)).max(axis=1)
     return gnorm, hnorm
 
 
@@ -282,17 +270,14 @@ def derivative_sup_norms(f, method: str | None = None, refine: int = 4,
     extension (`method="spectral"` runs the exact great-circle path, which
     is slower).
     """
+    pts = f.refined_set(refine)
     if isinstance(f, ZonalProfile):
         method = method or "analytic"
-        fine = gauss_jacobi_rule(f.dim, sphere_exponent(f.dim), refine * f.rule.order)
-        ts = np.concatenate(([-1.0], fine.nodes, [1.0]))
-        g, h = _zonal_hessian_parts(f, ts, method, step)
+        g, h = _zonal_hessian_parts(f, pts, method, step)
         g_at = lambda t: float(_zonal_hessian_parts(f, np.atleast_1d(t), method, step)[0][0])
         h_at = lambda t: float(_zonal_hessian_parts(f, np.atleast_1d(t), method, step)[1][0])
-        return _polish_max(ts, g, g_at), _polish_max(ts, h, h_at)
+        return _polish_max(pts, g, g_at), _polish_max(pts, h, h_at)
     method = method or "fd"
-    level = max(2 * f.band_limit + 1, refine * f.band_limit)
-    pts = s2_grid(level).points().reshape(-1, 3)
     if method == "fd":
         g, h = _s2_fd_parts(f, pts, step)
     elif method == "spectral":

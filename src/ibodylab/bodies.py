@@ -19,17 +19,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import gauss_jacobi_rule, s2_grid
 from .radon import radon_geometric_s2, radon_geometric_zonal, radon_multiplier
 from .seeding import make_rng
-from .sphharm import S2Function, default_s2_grid, sh_degrees
-from .zonal import ZonalProfile, sphere_exponent, subsphere_rule
+from .sphharm import S2Function, default_s2_grid, tangent_frame
+from .zonal import ZonalProfile, default_rule, subsphere_rule
 
 EVENNESS_TOL = 1e-12
 
 
 class PositivityError(RuntimeError):
     """Raised when a radial function fails strict positivity."""
+
+
+def _strictly_positive(values) -> bool:
+    # written as "min > 0" so that a NaN sample fails the check
+    return bool(np.min(values) > 0.0)
 
 
 def sphere_area(n: int) -> float:
@@ -88,9 +92,8 @@ class StarBody:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        vals = self.profile.node_values if isinstance(self.profile, ZonalProfile) \
-            else self.profile.values
-        if float(np.min(vals)) <= 0.0:
+        vals = self.profile.values
+        if not _strictly_positive(vals):
             raise PositivityError(
                 f"radial function not strictly positive (min = {float(np.min(vals)):.3e})"
             )
@@ -105,7 +108,7 @@ class StarBody:
 
     @property
     def dim(self) -> int:
-        return self.profile.dim if isinstance(self.profile, ZonalProfile) else 3
+        return self.profile.dim
 
     @property
     def band_limit(self) -> int:
@@ -113,7 +116,7 @@ class StarBody:
 
     @property
     def representation(self) -> str:
-        return "zonal" if isinstance(self.profile, ZonalProfile) else "s2"
+        return self.profile.representation
 
     def radial_eval(self, arg):
         """Radial function: at heights t for zonal bodies, at unit points
@@ -241,17 +244,6 @@ def direction_map_distortion(T, samples: int = 8192, seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 # intersection-body operator
 
-def _truncate_after_multiplier(coeffs_ext, keep: int, degrees=None):
-    if degrees is None:  # zonal layout
-        kept = coeffs_ext[:keep + 1].copy()
-        lost = float(np.sqrt((coeffs_ext[keep + 1:] ** 2).sum()))
-    else:
-        mask = degrees <= keep
-        kept = coeffs_ext[mask].copy()
-        lost = float(np.sqrt((coeffs_ext[~mask] ** 2).sum()))
-    return kept, lost
-
-
 def radon_of_power(body: StarBody, method: str = "spectral",
                    normalize: bool = True) -> StarBody:
     """Transform of the radial power: R(rho^(d-1)), the intersection-body
@@ -269,38 +261,20 @@ def radon_of_power(body: StarBody, method: str = "spectral",
     if method not in ("spectral", "geometric"):
         raise ValueError(f"unknown method {method!r}")
     d = body.dim
-    f = body.profile
-    K = body.band_limit
-    if isinstance(f, ZonalProfile):
-        k_ext = (d - 1) * K
-        work = gauss_jacobi_rule(d, sphere_exponent(d), k_ext + 8)
-        powered = f.eval_at(work.nodes) ** (d - 1)
-        pe = ZonalProfile.from_values(d, k_ext, powered, work)
-        if method == "spectral":
-            out_ext = pe.coeffs * radon_multiplier(d, k_ext)
-        else:
-            out_ext = radon_geometric_zonal(pe).coeffs
-        mean_power = float(out_ext[0])
-        if normalize:
-            out_ext = out_ext / mean_power
-        kept, lost = _truncate_after_multiplier(out_ext, K)
-        prof = ZonalProfile.from_coeffs(d, kept, f.rule)
+    pe = body.profile.power(d - 1)
+    if method == "spectral":
+        out_ext = pe.coeffs * radon_multiplier(d, pe.band_limit)[pe.degrees]
+    elif pe.representation == "zonal":
+        out_ext = radon_geometric_zonal(pe).coeffs
     else:
-        k_ext = 2 * K
-        powered = f.values**2
-        pe = S2Function.from_values(k_ext, powered, f.grid)
-        if method == "spectral":
-            mult = radon_multiplier(3, k_ext)[sh_degrees(k_ext)]
-            out_ext = pe.coeffs * mult
-        else:
-            out_ext = radon_geometric_s2(pe).coeffs
-        mean_power = float(out_ext[0])
-        if normalize:
-            out_ext = out_ext / mean_power
-        kept, lost = _truncate_after_multiplier(out_ext, K, sh_degrees(k_ext))
-        prof = S2Function.from_coeffs(kept, f.grid)
-    vals = prof.node_values if isinstance(prof, ZonalProfile) else prof.values
-    if float(np.min(vals)) <= 0.0:
+        out_ext = radon_geometric_s2(pe).coeffs
+    mean_power = float(out_ext[0])
+    if normalize:
+        out_ext = out_ext / mean_power
+    kept = pe.degrees <= body.band_limit
+    lost = float(np.sqrt((out_ext[~kept] ** 2).sum()))
+    prof = body.profile.with_coeffs(out_ext[kept])
+    if not _strictly_positive(prof.values):
         raise PositivityError(
             "intersection body has a nonpositive radial function; "
             "the input is too far from the ball for this band limit"
@@ -346,10 +320,7 @@ def section_volume(body: StarBody, direction) -> float:
     xi = xi / np.linalg.norm(xi)
     n = 2 * f.band_limit + 9
     tau = 2.0 * np.pi * np.arange(n) / n
-    a = np.array([1.0, 0.0, 0.0]) if abs(xi[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
-    u = np.cross(a, xi)
-    u /= np.linalg.norm(u)
-    v = np.cross(xi, u)
+    u, v = tangent_frame(xi)
     circle = np.outer(np.cos(tau), u) + np.outer(np.sin(tau), v)
     avg = float((f.eval_at_points(circle) ** 2).mean())
     return sphere_area(1) / 2.0 * avg
@@ -379,24 +350,17 @@ def _ellipsoid_profile(a: np.ndarray, band_limit: int, representation: str | Non
             aa, bb = _axis_form(a)
         except ValueError as exc:
             raise ValueError("zonal ellipsoids require diag(a, ..., a, b)") from exc
-        rule = gauss_jacobi_rule(d, sphere_exponent(d), 2 * band_limit + 8)
-        t = rule.nodes
-        vals = 1.0 / np.sqrt(aa * aa * (1.0 - t * t) + bb * bb * t * t)
-        prof = ZonalProfile.from_values(d, band_limit, vals, rule)
-        fine = gauss_jacobi_rule(d, sphere_exponent(d), 4 * rule.order)
-        exact = 1.0 / np.sqrt(aa * aa * (1.0 - fine.nodes**2) + bb * bb * fine.nodes**2)
-        err = float(np.abs(prof.eval_at(fine.nodes) - exact).max() / np.abs(exact).max())
-        return prof, err
-    if d != 3:
+        radial = lambda t: 1.0 / np.sqrt(aa * aa * (1.0 - t * t) + bb * bb * t * t)
+        rule = default_rule(d, band_limit)
+        prof = ZonalProfile.from_values(d, band_limit, radial(rule.nodes), rule)
+    elif d != 3:
         raise ValueError("s2 representation requires d = 3")
-    grid = default_s2_grid(band_limit)
-    pts = grid.points()
-    vals = 1.0 / np.linalg.norm(pts @ a.T, axis=-1)
-    prof = S2Function.from_values(band_limit, vals, grid)
-    fine = s2_grid(2 * (grid.n_theta - 1))
-    fp = fine.points()
-    exact = 1.0 / np.linalg.norm(fp @ a.T, axis=-1)
-    err = float(np.abs(prof.eval_at_points(fp) - exact).max() / np.abs(exact).max())
+    else:
+        radial = lambda x: 1.0 / np.linalg.norm(x @ a.T, axis=-1)
+        grid = default_s2_grid(band_limit)
+        prof = S2Function.from_values(band_limit, radial(grid.points()), grid)
+    exact = radial(prof.refined_set())
+    err = float(np.abs(prof.refined_values() - exact).max() / np.abs(exact).max())
     return prof, err
 
 
@@ -414,9 +378,5 @@ def ellipsoid_intersection_closed_form(a, band_limit: int = 32,
     radial function proportional to 1/|a xi|."""
     a = _check_spd(a)
     prof, err = _ellipsoid_profile(a, band_limit, representation)
-    coeffs = prof.coeffs / prof.coeffs[0]
-    if isinstance(prof, ZonalProfile):
-        prof = ZonalProfile.from_coeffs(prof.dim, coeffs, prof.rule)
-    else:
-        prof = S2Function.from_coeffs(coeffs, prof.grid)
-    return StarBody(prof, meta={"projection_error": err})
+    return StarBody(prof.with_coeffs(prof.coeffs / prof.coeffs[0]),
+                    meta={"projection_error": err})

@@ -24,18 +24,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import (
-    c2_norm,
-    degree_energies,
-    approx_decay_norm,
-    l2_norm,
-    sup_norm,
-)
+from .analysis import _decay_tail, c2_norm, degree_energies, l2_norm, sup_norm
 from .bodies import StarBody, apply_linear_map, radon_of_power
-from .quadrature import gauss_jacobi_rule
 from .radon import radon_multiplier
 from .sphharm import S2Function
-from .zonal import ZonalProfile, analyze_zonal, sphere_exponent
+from .zonal import ZonalProfile, analyze_zonal
 
 
 class DivergenceError(RuntimeError):
@@ -54,9 +47,7 @@ def _mean_zero_profile(f):
     """phi = f - mean(f), as a profile of the same representation."""
     c = np.array(f.coeffs, dtype=float)
     c[0] = 0.0
-    if isinstance(f, ZonalProfile):
-        return f.with_coeffs(c)
-    return S2Function.from_coeffs(c, f.grid)
+    return f.with_coeffs(c)
 
 
 def _sym_basis_3d() -> list[np.ndarray]:
@@ -179,14 +170,7 @@ class StepRecord:
 
 
 def _radial_range(body: StarBody) -> tuple[float, float]:
-    f = body.profile
-    if isinstance(f, ZonalProfile):
-        fine = gauss_jacobi_rule(
-            body.dim, sphere_exponent(body.dim), 4 * f.rule.order)
-        vals = f.eval_at(np.concatenate(([-1.0], fine.nodes, [1.0])))
-    else:
-        poles = f.eval_at_points(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
-        vals = np.concatenate([np.ravel(f.values), poles])
+    vals = body.profile.refined_values()
     return float(vals.min()), float(vals.max())
 
 
@@ -196,19 +180,18 @@ def _state_record(body: StarBody, m: int, opts: IterationOptions,
     mean = float(np.asarray(body.profile.coeffs)[0])
     shift = np.array(body.profile.coeffs, dtype=float)
     shift[0] -= 1.0
-    if isinstance(body.profile, ZonalProfile):
-        dev = body.profile.with_coeffs(shift)
-    else:
-        dev = S2Function.from_coeffs(shift, body.profile.grid)
+    dev = body.profile.with_coeffs(shift)
     lo, hi = _radial_range(body)
+    sup = sup_norm(dev)
     u_alpha = None
     if opts.track_decay_alpha is not None:
-        u_alpha = approx_decay_norm(dev, opts.track_decay_alpha)
+        # approx_decay_norm(dev, alpha), reusing the sup norm of the record
+        u_alpha = max(sup, _decay_tail(dev, opts.track_decay_alpha))
     c2 = c2_norm(body.profile) if opts.track_c2 else None
     return StepRecord(
         m=m,
         l2=l2_norm(dev),
-        sup=sup_norm(dev),
+        sup=sup,
         energies=degree_energies(dev),
         q_matrix=q,
         gamma=gamma,
@@ -227,11 +210,7 @@ def _rescaled_to_mean_one(body: StarBody) -> StarBody:
     if abs(c[0] - 1.0) < 1e-15:
         return body
     c /= c[0]
-    if isinstance(body.profile, ZonalProfile):
-        prof = body.profile.with_coeffs(c)
-    else:
-        prof = S2Function.from_coeffs(c, body.profile.grid)
-    return StarBody(prof, meta=dict(body.meta))
+    return StarBody(body.profile.with_coeffs(c), meta=dict(body.meta))
 
 
 def iterate_step(body: StarBody, opts: IterationOptions) -> tuple[StarBody, StepRecord]:
@@ -348,15 +327,11 @@ def _reprojected(body: StarBody, band_limit: int) -> StarBody:
     f = body.profile
     if band_limit == f.band_limit:
         return body
-    if isinstance(f, ZonalProfile):
-        c = np.zeros(band_limit + 1)
-        n = min(band_limit, f.band_limit) + 1
-        c[:n] = np.asarray(f.coeffs)[:n]
-        return StarBody(ZonalProfile.from_coeffs(f.dim, c), meta=dict(body.meta))
-    c = np.zeros((band_limit + 1) ** 2)
-    n = (min(band_limit, f.band_limit) + 1) ** 2
-    c[:n] = np.asarray(f.coeffs)[:n]
-    return StarBody(S2Function.from_coeffs(c), meta=dict(body.meta))
+    # both layouts list the coefficients by increasing degree
+    c = np.zeros(band_limit + 1 if f.representation == "zonal" else (band_limit + 1) ** 2)
+    kept = f.coeffs[f.degrees <= band_limit]
+    c[:kept.size] = kept
+    return StarBody(f.with_coeffs(c), meta=dict(body.meta))
 
 
 def run_iteration(body: StarBody, opts: IterationOptions) -> IterationReport:
@@ -374,7 +349,7 @@ def run_iteration(body: StarBody, opts: IterationOptions) -> IterationReport:
     if not opts.raw_power_mode:
         body = _rescaled_to_mean_one(body)
     d = body.dim
-    rep = "zonal" if isinstance(body.profile, ZonalProfile) else "s2"
+    rep = body.representation
     records = [_state_record(body, m=0, opts=opts, q=np.zeros((d, d)),
                              gamma=1.0, ratio=math.nan, trunc_loss=0.0)]
 
@@ -465,7 +440,7 @@ def ball_distance_proxies(body: StarBody, budget: int = 200) -> tuple[float, flo
         c = np.array(g.coeffs, dtype=float)
         c /= c[0]
         c[0] -= 1.0
-        dev = g.with_coeffs(c) if zonal else S2Function.from_coeffs(c, g.grid)
+        dev = g.with_coeffs(c)
         l2 = l2_norm(dev)
         best["l2"] = min(best["l2"], l2)
         best["sup"] = min(best["sup"], sup_norm(dev))

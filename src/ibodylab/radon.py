@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphharm import S2Function, sh_degrees
+from .sphharm import S2Function, tangent_frame
 from .zonal import ZonalProfile, subsphere_rule
 
 
@@ -53,11 +53,7 @@ def radon_multiplier(d: int, kmax: int) -> np.ndarray:
 
 def radon_spectral(f):
     """Apply the transform by multiplying coefficients degree by degree."""
-    if isinstance(f, ZonalProfile):
-        mult = radon_multiplier(f.dim, f.band_limit)
-        return ZonalProfile.from_coeffs(f.dim, f.coeffs * mult, f.rule)
-    mult = radon_multiplier(3, f.band_limit)
-    return S2Function.from_coeffs(f.coeffs * mult[sh_degrees(f.band_limit)], f.grid)
+    return f.with_coeffs(f.coeffs * radon_multiplier(f.dim, f.band_limit)[f.degrees])
 
 
 def radon_geometric_zonal(f: ZonalProfile, subsphere_order: int | None = None) -> ZonalProfile:
@@ -90,14 +86,7 @@ def radon_geometric_s2(f: S2Function, circle_points: int | None = None) -> S2Fun
     tau = 2.0 * np.pi * np.arange(circle_points) / circle_points
     cs, sn = np.cos(tau), np.sin(tau)
     dirs = f.grid.points().reshape(-1, 3)
-    # orthonormal frames for all directions at once
-    a = np.zeros_like(dirs)
-    pick = np.abs(dirs[:, 0]) <= 0.9
-    a[pick, 0] = 1.0
-    a[~pick, 1] = 1.0
-    u = np.cross(a, dirs)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = np.cross(dirs, u)
+    u, v = tangent_frame(dirs)
     circles = cs[None, :, None] * u[:, None, :] + sn[None, :, None] * v[:, None, :]
     vals = f.eval_at_points(circles.reshape(-1, 3)).reshape(len(dirs), circle_points)
     out_vals = vals.mean(axis=1).reshape(f.grid.weights.shape)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,10 +30,24 @@ def sh_index(l: int, m: int) -> int:
 
 def sh_degrees(band_limit: int) -> np.ndarray:
     """Degree l of every flat coefficient slot, shape ((L+1)^2,)."""
-    out = np.empty((band_limit + 1) ** 2, dtype=int)
-    for l in range(band_limit + 1):
-        out[l * l:(l + 1) ** 2] = l
-    return out
+    l = np.arange(band_limit + 1)
+    return np.repeat(l, 2 * l + 1)
+
+
+def tangent_frame(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal tangent vectors (u, v) at unit points x, shape (..., 3).
+
+    u is orthogonal to x and to a coordinate axis away from x (e_1 unless
+    |x_1| > 0.9, then e_2); v = x cross u completes the right-handed frame.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.zeros_like(x)
+    pick = np.abs(x[..., 0]) <= 0.9
+    a[..., 0] = pick
+    a[..., 1] = ~pick
+    u = np.cross(a, x)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    return u, np.cross(x, u)
 
 
 def legendre_table(band_limit: int, x: np.ndarray) -> np.ndarray:
@@ -145,9 +160,21 @@ def eval_s2_at_points(coeffs: np.ndarray, points: np.ndarray,
     return out.reshape(np.asarray(points).shape[:-1])
 
 
+_POLES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+
+
 @dataclass(frozen=True, eq=False)
 class S2Function:
-    """Band-limited function on S^2: grid samples + flat coefficients."""
+    """Band-limited function on S^2: grid samples + flat coefficients.
+
+    Shares its interface with `ZonalProfile` (dim, representation, values,
+    coeffs, degrees, with_coeffs, power, energies, refined_set and
+    refined_values), so callers branch on the representation only where
+    the algorithm differs.
+    """
+
+    dim: ClassVar[int] = 3
+    representation: ClassVar[str] = "s2"
 
     band_limit: int
     grid: S2Grid
@@ -172,12 +199,42 @@ class S2Function:
             grid = default_s2_grid(band_limit)
         return cls(band_limit, grid, synthesize_s2(coeffs, grid), coeffs)
 
+    @property
+    def degrees(self) -> np.ndarray:
+        """Degree l of every coefficient slot."""
+        return sh_degrees(self.band_limit)
+
     def eval_at_points(self, points: np.ndarray) -> np.ndarray:
         return eval_s2_at_points(self.coeffs, points)
 
+    def with_coeffs(self, coeffs) -> "S2Function":
+        """Same grid (when the band limit is unchanged), new coefficients."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        return S2Function.from_coeffs(
+            coeffs, self.grid if coeffs.size == self.coeffs.size else None)
+
+    def power(self, p: int) -> "S2Function":
+        """f^p at band p L, analyzed exactly on the storage grid.
+
+        Raises ValueError when the grid cannot resolve band p L.
+        """
+        return S2Function.from_values(p * self.band_limit, self.values**p, self.grid)
+
     def energies(self) -> np.ndarray:
         """Per-degree energies e_l = sum_m coeffs[l,m]^2."""
-        out = np.empty(self.band_limit + 1)
-        for l in range(self.band_limit + 1):
-            out[l] = float((self.coeffs[l * l:(l + 1) ** 2] ** 2).sum())
-        return out
+        return np.bincount(self.degrees, weights=self.coeffs**2,
+                           minlength=self.band_limit + 1)
+
+    def refined_grid(self, refine: int = 4) -> S2Grid:
+        """Product grid `refine` times finer than the storage grid."""
+        return s2_grid(max(refine * (self.grid.n_theta - 1), 2 * self.band_limit + 1))
+
+    def refined_set(self, refine: int = 4) -> np.ndarray:
+        """Unit points of the dense evaluation set, shape (n, 3): the
+        refined grid in row-major order, then the north and south poles."""
+        return np.concatenate((self.refined_grid(refine).points().reshape(-1, 3), _POLES))
+
+    def refined_values(self, refine: int = 4) -> np.ndarray:
+        """f on `refined_set`; the grid part by synthesis, not point by point."""
+        grid_vals = synthesize_s2(self.coeffs, self.refined_grid(refine))
+        return np.concatenate((grid_vals.ravel(), self.eval_at_points(_POLES)))

@@ -14,7 +14,8 @@ differentiating the same recurrence rather than from finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -85,13 +86,18 @@ def zonal_basis_derivatives(d: int, kmax: int, t: np.ndarray):
 class ZonalProfile:
     """Band-limited zonal function: values on a quadrature rule + coefficients.
 
-    Both representations are kept in sync; `coeffs[k]` multiplies Z_k.
+    Values and coefficients are kept in sync; `coeffs[k]` multiplies Z_k.
+    Shares its interface with `S2Function` (dim, representation, values,
+    coeffs, degrees, with_coeffs, power, energies, refined_set and
+    refined_values); points are heights t in [-1, 1].
     """
+
+    representation: ClassVar[str] = "zonal"
 
     dim: int
     band_limit: int
     rule: JacobiRule
-    node_values: np.ndarray
+    values: np.ndarray
     coeffs: np.ndarray
 
     @classmethod
@@ -136,13 +142,37 @@ class ZonalProfile:
             (zpp.T @ self.coeffs).reshape(t.shape),
         )
 
-    def with_coeffs(self, coeffs: np.ndarray) -> "ZonalProfile":
-        return ZonalProfile.from_coeffs(self.dim, np.asarray(coeffs, dtype=float),
-                                        self.rule if coeffs.size - 1 == self.band_limit else None)
+    @property
+    def degrees(self) -> np.ndarray:
+        """Degree k of every coefficient slot."""
+        return np.arange(self.band_limit + 1)
+
+    def with_coeffs(self, coeffs) -> "ZonalProfile":
+        """Same rule (when the band limit is unchanged), new coefficients."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        return ZonalProfile.from_coeffs(
+            self.dim, coeffs, self.rule if coeffs.size == self.coeffs.size else None)
+
+    def power(self, p: int) -> "ZonalProfile":
+        """f^p at band p K, sampled on a rule exact for its analysis."""
+        d, k = self.dim, p * self.band_limit
+        work = gauss_jacobi_rule(d, sphere_exponent(d), k + 8)
+        return ZonalProfile.from_values(d, k, self.eval_at(work.nodes) ** p, work)
 
     def energies(self) -> np.ndarray:
         """Per-degree energies e_k = coeffs[k]^2."""
         return self.coeffs**2
+
+    def refined_set(self, refine: int = 4) -> np.ndarray:
+        """Heights of the dense evaluation set: the Gauss rule `refine`
+        times finer than the storage rule, with the poles -1 and 1 added."""
+        fine = gauss_jacobi_rule(self.dim, sphere_exponent(self.dim),
+                                 refine * self.rule.order)
+        return np.concatenate(([-1.0], fine.nodes, [1.0]))
+
+    def refined_values(self, refine: int = 4) -> np.ndarray:
+        """f on `refined_set`."""
+        return self.eval_at(self.refined_set(refine))
 
 
 def _check_rule(d: int, band_limit: int, rule: JacobiRule) -> None:

@@ -56,7 +56,7 @@ def test_criterion_02_normalization_identities():
     # R fixes constants to 1e-13 on both routes; the degree-2 and degree-4
     # eigenvalue identities hold to 1e-15
     f = ZonalProfile.from_coeffs(3, np.array([1.0, 0.0, 0.0, 0.0]))
-    dev_z = float(np.max(np.abs(radon_geometric_zonal(f).node_values - 1.0)))
+    dev_z = float(np.max(np.abs(radon_geometric_zonal(f).values - 1.0)))
     g = S2Function.from_coeffs(np.array([1.0]))
     dev_s = float(np.max(np.abs(radon_geometric_s2(g).values - 1.0)))
     worst2 = max(abs((d - 1) * radon_coefficient(d, 2) - 1.0) for d in range(3, 51))
@@ -165,7 +165,7 @@ def test_criterion_10_transforms_and_envelope():
     worst_rt = 0.0
     for d in (3, 4, 5, 7):
         f = random_even_zonal(d, 64, seed=d, decay=1.5)
-        g = ZonalProfile.from_values(d, 64, f.node_values, f.rule)
+        g = ZonalProfile.from_values(d, 64, f.values, f.rule)
         worst_rt = max(worst_rt, float(np.max(np.abs(g.coeffs - f.coeffs))))
     fs = random_even_s2(64, seed=64)
     cs = analyze_s2(64, fs.values, fs.grid)

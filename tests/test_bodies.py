@@ -57,6 +57,13 @@ def test_rejects_nonpositive_radial():
         StarBody(ZonalProfile.from_coeffs(3, c))
 
 
+def test_rejects_nan_radial():
+    c = np.zeros(5)
+    c[0], c[4] = 1.0, np.nan
+    with pytest.raises(PositivityError):
+        StarBody(ZonalProfile.from_coeffs(3, c))
+
+
 def test_rejects_odd_part():
     c = np.zeros(4)
     c[0], c[3] = 1.0, 0.05

@@ -1,13 +1,22 @@
 """Command line front end: exit codes, artifacts, determinism, precedence."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ibodylab
 from ibodylab.cli import main
+
+# `python -m ibodylab` in a child process finds the package under test
+# even when it is not installed
+SRC = str(Path(ibodylab.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(argv, capsys):
@@ -221,7 +230,7 @@ def test_coarse_ellipsoid_band_is_exit_1(tmp_path, capsys):
 
 def test_module_invocation_version():
     p = subprocess.run([sys.executable, "-m", "ibodylab", "--version"],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=CHILD_ENV)
     assert p.returncode == 0
     assert p.stdout.strip() == "0.1.0"
 
@@ -229,6 +238,15 @@ def test_module_invocation_version():
 def test_module_invocation_eigen_check():
     p = subprocess.run(
         [sys.executable, "-m", "ibodylab", "eigen-check", "--dims", "3", "--k-max", "4"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert p.returncode == 0
     assert p.stdout.startswith("dim,degree,")
+
+
+def test_module_invocation_nan_perturbation_is_a_config_error():
+    p = subprocess.run(
+        [sys.executable, "-m", "ibodylab", "iterate", "--perturb", "4:nan"],
+        capture_output=True, text=True, env=CHILD_ENV)
+    assert p.returncode == 2
+    assert p.stderr.startswith("error:")
+    assert "Traceback" not in p.stderr

@@ -104,7 +104,7 @@ def test_spectral_kills_odd_harmonics():
 def test_geometric_zonal_fixes_constants():
     f = ZonalProfile.from_coeffs(4, np.array([1.0, 0.0, 0.0]))
     g = radon_geometric_zonal(f)
-    assert np.max(np.abs(g.node_values - 1.0)) <= 1e-13
+    assert np.max(np.abs(g.values - 1.0)) <= 1e-13
 
 
 def test_geometric_zonal_quadratic_closed_form():
@@ -115,7 +115,7 @@ def test_geometric_zonal_quadratic_closed_form():
         f = ZonalProfile.from_values(d, 8, rule.nodes**2, rule)
         g = radon_geometric_zonal(f)
         want = (1.0 - rule.nodes**2) / (d - 1)
-        assert np.max(np.abs(g.node_values - want)) <= 1e-12
+        assert np.max(np.abs(g.values - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 7])

@@ -72,19 +72,19 @@ def test_pure_mode_round_trip():
 @pytest.mark.parametrize("d", [3, 4, 7])
 def test_random_round_trip(d):
     f = random_even_zonal(d, 24, seed=11)
-    g = ZonalProfile.from_values(d, 24, f.node_values, f.rule)
+    g = ZonalProfile.from_values(d, 24, f.values, f.rule)
     assert np.max(np.abs(g.coeffs - f.coeffs)) <= 1e-12
 
 
 def test_parseval(d=5):
     f = random_even_zonal(d, 32, seed=3)
-    sq = integrate(f.node_values**2, f.rule)
+    sq = integrate(f.values**2, f.rule)
     assert sq == pytest.approx(float(f.coeffs @ f.coeffs), abs=1e-10)
 
 
 def test_eval_at_matches_node_values():
     f = random_even_zonal(3, 16, seed=7)
-    assert np.max(np.abs(f.eval_at(f.rule.nodes) - f.node_values)) <= 1e-12
+    assert np.max(np.abs(f.eval_at(f.rule.nodes) - f.values)) <= 1e-12
 
 
 def test_derivatives_at_against_finite_differences():
