@@ -12,6 +12,8 @@ iteration and its experiments (`iteration`), and a command line driver
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     apply_multiplier,
     approx_decay_norm,
@@ -70,7 +72,6 @@ from .sphharm import (
     analyze_s2,
     default_s2_grid,
     eval_s2_at_points,
-    legendre_table,
     sh_degrees,
     sh_index,
     synthesize_s2,
@@ -86,4 +87,5 @@ from .zonal import (
     zonal_basis_matrix,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

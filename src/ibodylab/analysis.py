@@ -113,7 +113,8 @@ def _polish_max(ts: np.ndarray, vals: np.ndarray, evaluator) -> float:
         if denom < -1e-300:
             # vertex of the parabola through the three samples
             tv = t1 + 0.5 * (v0 - v2) / denom * 0.5 * (t2 - t0)
-            tv = min(max(tv, t0), t2)
+            # the scan may run either way (S^2 colatitudes decrease)
+            tv = min(max(tv, min(t0, t2)), max(t0, t2))
             best = max(best, float(evaluator(tv)))
     return best
 

@@ -44,7 +44,7 @@ from .radon import (
     smoothing_gain_experiment,
 )
 from .seeding import make_rng
-from .sphharm import S2Function, sh_index
+from .sphharm import S2Function, sh_degrees, sh_index
 from .zonal import ZonalProfile
 
 SCHEMA_VERSION = 1
@@ -243,8 +243,7 @@ def cmd_radon_oracle(cfg: dict) -> int:
         if d == 3:
             full = S2Function.from_coeffs(
                 rng.standard_normal((band_limit + 1) ** 2)
-                * (1.0 + np.repeat(np.arange(band_limit + 1),
-                                   2 * np.arange(band_limit + 1) + 1)) ** -1.5)
+                * (1.0 + sh_degrees(band_limit)) ** -1.5)
             err = float(np.abs(radon_geometric_s2(full).coeffs
                                - radon_spectral(full).coeffs).max())
             worst = max(worst, err)
@@ -314,10 +313,12 @@ def _start_body(cfg: dict) -> StarBody:
                 weights[k] = float(rng.standard_normal()) / (1.0 + k)
         else:
             raise ConfigError(f"unknown preset {name!r}")
-    for k in weights:
+    for k, w in weights.items():
         if k % 2 or k < 2 or k > band_limit:
             raise ConfigError(
                 f"perturbation degree {k} must be even and within [2, band_limit]")
+        if not math.isfinite(w):
+            raise ConfigError(f"perturbation amplitude {w} at degree {k} is not finite")
     if rep == "zonal":
         coeffs = np.zeros(band_limit + 1)
         for k, w in weights.items():
@@ -326,8 +327,7 @@ def _start_body(cfg: dict) -> StarBody:
         coeffs = np.zeros((band_limit + 1) ** 2)
         for k, w in weights.items():
             if spread_m:
-                for m in range(-k, k + 1):
-                    coeffs[sh_index(k, m)] = w * float(rng.standard_normal())
+                coeffs[k * k:(k + 1) ** 2] = w * rng.standard_normal(2 * k + 1)
             else:
                 coeffs[sh_index(k, 0)] = w
     norm = float(np.sqrt((coeffs**2).sum()))
@@ -352,14 +352,17 @@ def cmd_iterate(cfg: dict) -> int:
     alpha = cfg["alpha"]
     if alpha is None and d == 3:
         alpha = 4.0
-    opts = IterationOptions(
-        kill_h2=cfg["kill_h2"],
-        raw_power_mode=cfg["raw_power"],
-        max_steps=cfg["steps"],
-        stop_tol=cfg["stop_tol"],
-        method=cfg["method"],
-        track_decay_alpha=alpha,
-    )
+    try:
+        opts = IterationOptions(
+            kill_h2=cfg["kill_h2"],
+            raw_power_mode=cfg["raw_power"],
+            max_steps=cfg["steps"],
+            stop_tol=cfg["stop_tol"],
+            method=cfg["method"],
+            track_decay_alpha=alpha,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     diverged = None
     try:
         report = run_iteration(body, opts)

@@ -312,16 +312,6 @@ class IterationReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
-    def to_csv(self) -> str:
-        lines = ["m,l2,sup,ratio,gamma,q_norm,trunc_loss"]
-        for r in self.records:
-            ratio = "" if math.isnan(r.ratio) else repr(r.ratio)
-            lines.append(",".join([
-                str(r.m), repr(r.l2), repr(r.sup), ratio,
-                repr(r.gamma), repr(r.q_norm), repr(r.trunc_loss),
-            ]))
-        return "\n".join(lines) + "\n"
-
 
 def _reprojected(body: StarBody, band_limit: int) -> StarBody:
     f = body.profile

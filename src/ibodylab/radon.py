@@ -3,7 +3,7 @@
 The transform averages a function over unit subspheres x . xi = 0 and is
 normalized so constants are fixed.  On harmonics of even degree k it
 multiplies by (-1)^(k/2) v(d, k) where v is the explicit ratio of odd
-products computed in `radon_coefficient`; odd degrees are annihilated.
+products computed in `radon_multiplier`; odd degrees are annihilated.
 
 Two implementations are kept deliberately separate: `radon_spectral`
 multiplies coefficients, while the geometric routes integrate over the
@@ -34,10 +34,7 @@ def radon_coefficient(d: int, k: int) -> float:
         raise ValueError(f"degree must be a nonnegative integer, got {k}")
     if k % 2 == 1:
         raise ValueError("odd degrees are annihilated; no eigenvalue is defined")
-    out = 1.0
-    for j in range(2, k + 1, 2):
-        out *= (j - 1.0) / (d + j - 3.0)
-    return out
+    return float(abs(radon_multiplier(d, k)[k]))
 
 
 def radon_multiplier(d: int, kmax: int) -> np.ndarray:

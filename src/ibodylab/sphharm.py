@@ -5,9 +5,11 @@ orthonormal for it, so Y_{0,0} = 1 and the zonal members Y_{l,0}(x) =
 sqrt(2l+1) P_l(cos theta) coincide with the d=3 zonal basis Z_l.  Flat
 coefficient layout: index(l, m) = l^2 + l + m, m = -l..l.
 
-The normalized associated Legendre functions are generated by the standard
-stable l-recurrence (sectoral seed, then upward in l); no factorials are
-formed explicitly.
+Transforms are separated by order (Driscoll & Healy 1994; per-order layout
+as in SHTns, Schaeffer 2013): one generator yields the normalized associated
+Legendre blocks Q[m..L, m] from the stable recurrence (sectoral seed, then
+upward in l), and analysis, synthesis and point evaluation take one
+matrix-vector product per order, so point evaluation needs O(L N) memory.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from .quadrature import S2Grid, s2_grid
 
+_CHUNK = 16384  # points per block in eval_s2_at_points
 
 def sh_index(l: int, m: int) -> int:
     """Flat index of the real harmonic (l, m) in coefficient arrays."""
@@ -50,34 +53,47 @@ def tangent_frame(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, np.cross(x, u)
 
 
-def legendre_table(band_limit: int, x: np.ndarray) -> np.ndarray:
-    """Normalized associated Legendre values Q[l, m, i] at points x.
+def _band_limit(coeffs: np.ndarray) -> int:
+    """L of a flat coefficient vector of length (L+1)^2."""
+    L = int(np.sqrt(coeffs.size)) - 1
+    if (L + 1) ** 2 != coeffs.size:
+        raise ValueError(f"coefficient length {coeffs.size} is not a square")
+    return L
 
-    Normalization is chosen so that Y_{l,0} = Q[l,0] and
-    Y_{l,+/-m} = sqrt(2) Q[l,m] {cos, sin}(m phi) are orthonormal in
-    L^2 of the unit-mass surface measure.  Entries with m > l are 0.
+
+def _legendre_orders(band_limit: int, x: np.ndarray):
+    """Yield the blocks Q[m..L, m] at heights x, shape (L-m+1, N), m = 0..L.
+
+    Y_{l,0} = Q[l,0] and Y_{l,+/-m} = sqrt(2) Q[l,m] {cos, sin}(m phi) are
+    orthonormal in L^2 of the unit-mass surface measure.
     """
-    x = np.asarray(x, dtype=float)
     L = band_limit
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    q = np.zeros((L + 1, L + 1, x.size))
-    q[0, 0] = 1.0
-    for m in range(1, L + 1):
-        q[m, m] = np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * q[m - 1, m - 1]
-    for m in range(0, L + 1):
-        if m + 1 <= L:
-            q[m + 1, m] = np.sqrt(2.0 * m + 3.0) * x * q[m, m]
+    qmm = np.ones_like(x)
+    for m in range(L + 1):
+        q = np.empty((L - m + 1, x.size))
+        q[0] = qmm
+        if m < L:
+            q[1] = np.sqrt(2.0 * m + 3.0) * x * qmm
         for l in range(m + 2, L + 1):
             a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
             b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            q[l, m] = a * (x * q[l - 1, m] - b * q[l - 2, m])
-    return q
+            q[l - m] = a * (x * q[l - m - 1] - b * q[l - m - 2])
+        yield q
+        qmm = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * s * qmm
+
+
+def _order_slots(band_limit: int, m: int):
+    """Flat indices of the slots (l, m) and (l, -m), l = m..L, and the factor
+    from Q[l, m] to Y_{l,+/-m}; at m = 0 both are the zonal slots."""
+    l = np.arange(m, band_limit + 1)
+    return l * l + l + m, l * l + l - m, (np.sqrt(2.0) if m else 1.0)
 
 
 @lru_cache(maxsize=64)
 def _grid_tables(band_limit: int, grid: S2Grid):
-    """Per-grid transform tables: Legendre values and cos/sin longitude tables."""
-    q = legendre_table(band_limit, grid.x)
+    """Per-grid tables: per-order Legendre blocks, cos/sin longitude tables."""
+    q = list(_legendre_orders(band_limit, grid.x))
     m = np.arange(band_limit + 1)[:, None]
     cos_t = np.cos(m * grid.phi[None, :])
     sin_t = np.sin(m * grid.phi[None, :])
@@ -102,61 +118,44 @@ def analyze_s2(band_limit: int, values: np.ndarray, grid: S2Grid) -> np.ndarray:
     if values.shape != grid.weights.shape:
         raise ValueError("values do not match the grid shape")
     # longitude averages per order m, then weighted colatitude projections
-    fc = values @ cos_t.T / grid.n_phi            # (n_theta, L+1)
-    fs = values @ sin_t.T / grid.n_phi
-    wfc = grid.w_theta[:, None] * fc
-    wfs = grid.w_theta[:, None] * fs
-    coeffs = np.zeros((L + 1) ** 2)
-    for l in range(L + 1):
-        coeffs[sh_index(l, 0)] = q[l, 0] @ wfc[:, 0]
-        for m in range(1, l + 1):
-            proj = q[l, m]
-            coeffs[sh_index(l, m)] = np.sqrt(2.0) * (proj @ wfc[:, m])
-            coeffs[sh_index(l, -m)] = np.sqrt(2.0) * (proj @ wfs[:, m])
+    wfc = grid.w_theta[:, None] * (values @ cos_t.T) / grid.n_phi   # (n_theta, L+1)
+    wfs = grid.w_theta[:, None] * (values @ sin_t.T) / grid.n_phi
+    coeffs = np.empty((L + 1) ** 2)
+    for m, qm in enumerate(q):
+        cos_i, sin_i, scale = _order_slots(L, m)
+        coeffs[sin_i] = scale * (qm @ wfs[:, m])  # sine first: at m = 0 slots coincide
+        coeffs[cos_i] = scale * (qm @ wfc[:, m])
     return coeffs
 
 
 def synthesize_s2(coeffs: np.ndarray, grid: S2Grid) -> np.ndarray:
     """Grid values of the function with the given flat coefficients."""
     coeffs = np.asarray(coeffs, dtype=float)
-    L = int(np.sqrt(coeffs.size)) - 1
-    if (L + 1) ** 2 != coeffs.size:
-        raise ValueError(f"coefficient length {coeffs.size} is not a square")
+    L = _band_limit(coeffs)
     q, cos_t, sin_t = _grid_tables(L, grid)
-    gc = np.zeros((grid.n_theta, L + 1))
-    gs = np.zeros((grid.n_theta, L + 1))
-    for l in range(L + 1):
-        gc[:, 0] += coeffs[sh_index(l, 0)] * q[l, 0]
-        for m in range(1, l + 1):
-            gc[:, m] += np.sqrt(2.0) * coeffs[sh_index(l, m)] * q[l, m]
-            gs[:, m] += np.sqrt(2.0) * coeffs[sh_index(l, -m)] * q[l, m]
+    gc, gs = np.empty((2, grid.n_theta, L + 1))
+    for m, qm in enumerate(q):
+        cos_i, sin_i, scale = _order_slots(L, m)
+        gc[:, m] = scale * (coeffs[cos_i] @ qm)
+        gs[:, m] = scale * (coeffs[sin_i] @ qm)  # meets sin(0 phi) = 0 at m = 0
     return gc @ cos_t + gs @ sin_t
 
 
-def eval_s2_at_points(coeffs: np.ndarray, points: np.ndarray,
-                      chunk: int = 16384) -> np.ndarray:
-    """Evaluate at arbitrary unit vectors, shape (..., 3); chunked in memory."""
+def eval_s2_at_points(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Evaluate at arbitrary unit vectors, shape (..., 3); orders are summed
+    one at a time per chunk of points, so memory is O(L N), not O(L^2 N)."""
     coeffs = np.asarray(coeffs, dtype=float)
-    L = int(np.sqrt(coeffs.size)) - 1
+    L = _band_limit(coeffs)
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start:start + chunk]
-        x = block[:, 2]
+    out = np.zeros(pts.shape[0])
+    for start in range(0, pts.shape[0], _CHUNK):
+        block = pts[start:start + _CHUNK]
         phi = np.arctan2(block[:, 1], block[:, 0])
-        q = legendre_table(L, x)
-        vals = np.zeros(block.shape[0])
-        for l in range(L + 1):
-            vals += coeffs[sh_index(l, 0)] * q[l, 0]
-        for m in range(1, L + 1):
-            cm, sm = np.cos(m * phi), np.sin(m * phi)
-            ac = np.zeros(block.shape[0])
-            as_ = np.zeros(block.shape[0])
-            for l in range(m, L + 1):
-                ac += coeffs[sh_index(l, m)] * q[l, m]
-                as_ += coeffs[sh_index(l, -m)] * q[l, m]
-            vals += np.sqrt(2.0) * (ac * cm + as_ * sm)
-        out[start:start + chunk] = vals
+        vals = out[start:start + _CHUNK]
+        for m, qm in enumerate(_legendre_orders(L, block[:, 2])):
+            cos_i, sin_i, scale = _order_slots(L, m)
+            vals += scale * ((coeffs[cos_i] @ qm) * np.cos(m * phi)
+                             + (coeffs[sin_i] @ qm) * np.sin(m * phi))
     return out.reshape(np.asarray(points).shape[:-1])
 
 
@@ -192,9 +191,7 @@ class S2Function:
     @classmethod
     def from_coeffs(cls, coeffs: np.ndarray, grid: S2Grid | None = None) -> "S2Function":
         coeffs = np.asarray(coeffs, dtype=float)
-        band_limit = int(np.sqrt(coeffs.size)) - 1
-        if (band_limit + 1) ** 2 != coeffs.size:
-            raise ValueError(f"coefficient length {coeffs.size} is not a square")
+        band_limit = _band_limit(coeffs)
         if grid is None:
             grid = default_s2_grid(band_limit)
         return cls(band_limit, grid, synthesize_s2(coeffs, grid), coeffs)

@@ -133,6 +133,18 @@ def test_iterate_json_stdout_is_pure_json(capsys):
     assert "asymptotic ratio" in err
 
 
+def test_iterate_report_csv_layout(tmp_path, capsys):
+    code, _, _ = run_cli(["iterate", "--steps", "3", "--out", str(tmp_path / "c")], capsys)
+    assert code == 0
+    lines = (tmp_path / "c" / "report.csv").read_text().strip().split("\n")
+    assert lines[0] == "m,l2,sup,ratio,gamma,q_norm,trunc_loss"
+    first = lines[1].split(",")
+    assert first[0] == "0"
+    assert first[3] == ""  # no ratio before the first step
+    doc = json.loads((tmp_path / "c" / "report.json").read_text())
+    assert len(lines) == len(doc["rows"]) + 1 == 5
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -200,6 +212,21 @@ def test_bad_axes_is_exit_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"axes": [1.0, -2.0, 1.0]}))
     code, _, _ = run_cli(["ellipsoid-check", "--config", str(cfg)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [["--steps", "0"], ["--stop-tol", "0"]])
+def test_bad_iteration_options_are_exit_2(flags, capsys):
+    code, _, err = run_cli(["iterate"] + flags, capsys)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("amplitude", ["nan", "inf"])
+def test_non_finite_perturbation_amplitude_is_exit_2(amplitude, capsys):
+    code, _, err = run_cli(["iterate", "--perturb", f"4:{amplitude}"], capsys)
+    assert code == 2
+    assert "amplitude" in err
+    assert "epsilon" not in err
 
 
 # ---------------------------------------------------------------------------

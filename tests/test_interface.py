@@ -1,8 +1,11 @@
-"""The interface that ZonalProfile and S2Function share."""
+"""The interface that ZonalProfile and S2Function share, and the package exports."""
+
+from types import ModuleType
 
 import numpy as np
 import pytest
 
+import ibodylab
 from ibodylab import S2Function, ZonalProfile, eval_s2_at_points, sh_index, sup_norm
 from helpers import random_even_s2, random_even_zonal, random_points_on_sphere
 
@@ -67,19 +70,41 @@ def test_s2_power_rejects_an_unresolved_band():
         random_even_s2(8, seed=35).power(4)
 
 
-def _point_sup(f: S2Function) -> float:
-    """max |f| over the refined grid and the poles, point by point.
-
-    sup_norm also polishes the best node along its colatitude column, but
-    that polish clips onto the neighbouring grid node, so the scan is the
-    whole of its result."""
+def _point_sup(f: S2Function) -> tuple[float, np.ndarray]:
+    """max |f| over the refined grid and the poles, point by point, and
+    the point where it is taken."""
     pts = f.refined_set()
     assert pts.shape == (f.refined_grid().weights.size + 2, 3)
-    return float(np.abs(eval_s2_at_points(f.coeffs, pts)).max())
+    vals = np.abs(eval_s2_at_points(f.coeffs, pts))
+    return float(vals.max()), pts[np.argmax(vals)]
+
+
+def _local_sup(f: S2Function, x0: np.ndarray) -> float:
+    """max |f| near the unit point x0, by a Nelder-Mead search in (theta, phi)."""
+    from scipy.optimize import minimize
+
+    def neg_abs(a):
+        p = np.array([np.sin(a[0]) * np.cos(a[1]), np.sin(a[0]) * np.sin(a[1]), np.cos(a[0])])
+        return -abs(float(eval_s2_at_points(f.coeffs, p)))
+
+    start = [np.arccos(x0[2]), np.arctan2(x0[1], x0[0])]
+    res = minimize(neg_abs, start, method="Nelder-Mead",
+                   options={"xatol": 1e-9, "fatol": 1e-15})
+    return -float(res.fun)
 
 
 @pytest.mark.parametrize("band_limit", [8, 16, 32])
 def test_s2_sup_norm_matches_point_evaluation(band_limit):
+    """sup_norm beats the point-by-point scan of its refined set (its
+    polish along the best node's colatitude column finds a larger value)
+    and stays below the local maximum that point evaluation finds."""
     f = random_even_s2(band_limit, seed=36)
-    want = _point_sup(f)
-    assert abs(sup_norm(f) - want) <= 1e-12 * want
+    scan, at = _point_sup(f)
+    got = sup_norm(f)
+    assert scan < got <= _local_sup(f, at) * (1.0 + 1e-12)
+
+
+def test_package_exports_no_submodules():
+    exported = {name: getattr(ibodylab, name) for name in ibodylab.__all__}
+    assert not [name for name, value in exported.items() if isinstance(value, ModuleType)]
+    assert {"S2Function", "ZonalProfile", "sup_norm", "run_iteration"} <= set(exported)

@@ -272,17 +272,6 @@ def test_options_validation():
 # ---------------------------------------------------------------------------
 # report serialization
 
-def test_report_csv_layout():
-    rep = run_iteration(_mix_body(3), IterationOptions(max_steps=3))
-    text = rep.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "m,l2,sup,ratio,gamma,q_norm,trunc_loss"
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert first[3] == ""  # no ratio before the first step
-    assert len(lines) == len(rep.records) + 1
-
-
 def test_report_json_fields():
     rep = run_iteration(_mix_body(3), IterationOptions(max_steps=2))
     doc = json.loads(rep.to_json())

@@ -1,5 +1,7 @@
 """Real spherical harmonics on S^2: layout, transform, evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,35 @@ def test_eval_at_points_matches_grid():
     pts = f.grid.points().reshape(-1, 3)
     got = eval_s2_at_points(f.coeffs, pts).reshape(f.values.shape)
     assert np.max(np.abs(got - f.values)) <= 1e-12
+
+
+def test_eval_at_points_matches_closed_forms():
+    # real harmonics with m > 0 in Cartesian form, unit-mass normalization
+    pts = random_points_on_sphere(500, 3, seed=3)
+    x, y = pts[:, 0], pts[:, 1]
+    cases = {
+        (1, 1): np.sqrt(3.0) * x,
+        (1, -1): np.sqrt(3.0) * y,
+        (2, 2): 0.5 * np.sqrt(15.0) * (x * x - y * y),
+        (2, -2): np.sqrt(15.0) * x * y,
+    }
+    for (l, m), want in cases.items():
+        c = np.zeros(9)
+        c[sh_index(l, m)] = 1.0
+        assert np.max(np.abs(eval_s2_at_points(c, pts) - want)) <= 1e-13, (l, m)
+
+
+def test_eval_at_points_memory_is_linear_in_band():
+    # an (L+1)^2 x N Legendre table alone would be 1681 * 20000 * 8 = 269 MB
+    f = random_even_s2(40, seed=5)
+    pts = random_points_on_sphere(20000, 3, seed=6)
+    tracemalloc.start()
+    try:
+        eval_s2_at_points(f.coeffs, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_even_function_is_antipodally_symmetric():
