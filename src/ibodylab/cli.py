@@ -112,6 +112,7 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(file_values) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _check_config_types(args.command, file_values, defaults)
     resolved = dict(defaults)
     resolved.update(file_values)
     for key in defaults:
@@ -119,6 +120,49 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
         if val is not None:
             resolved[key] = val
     return resolved
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# flag type -> (test of a JSON value, what the flag parses to)
+_JSON_TYPES = {
+    int: (_is_int, "an integer"),
+    float: (_is_number, "a number"),
+    _parse_ints: (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                  "a list of integers"),
+    _parse_floats: (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                    "a list of numbers"),
+    None: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _check_config_types(command: str, file_values: dict, defaults: dict) -> None:
+    """Reject config values of another type than their flag parses to;
+    null is accepted where the default is null."""
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    for action in subs.choices[command]._actions:
+        key = action.dest
+        if key not in file_values:
+            continue
+        value = file_values[key]
+        if value is None and defaults[key] is None:
+            continue
+        if action.choices is not None:
+            ok, want = value in action.choices, f"one of {list(action.choices)}"
+        elif isinstance(action, argparse.BooleanOptionalAction):
+            ok, want = isinstance(value, bool), "true or false"
+        else:
+            test, want = _JSON_TYPES[action.type]
+            ok = test(value)
+        if not ok:
+            raise ConfigError(f"config key {key!r} must be {want}, got {value!r}")
 
 
 def _csv_cell(value) -> str:
@@ -291,16 +335,14 @@ def _start_body(cfg: dict) -> StarBody:
     if rep == "s2" and d != 3:
         raise ConfigError("the s2 representation requires dim 3")
     preset = cfg["preset"]
-    perturb = cfg["perturb"]
-    if isinstance(perturb, str):
-        perturb = _parse_perturb(perturb)
+    perturb = None if cfg["perturb"] is None else _parse_perturb(cfg["perturb"])
     if perturb and preset:
         raise ConfigError("give either a preset or an explicit perturbation, not both")
     rng = make_rng(cfg["seed"])
     weights: dict[int, float] = {}
     spread_m = False
     if perturb:
-        weights = {int(k): float(v) for k, v in perturb.items()}
+        weights = perturb
     else:
         name = preset or "z4-mix"
         if name == "z4-mix":
@@ -369,6 +411,9 @@ def cmd_iterate(cfg: dict) -> int:
     except DivergenceError as exc:
         diverged = str(exc)
         report = exc.report
+    except ValueError as exc:
+        # a start outside the corrected step's domain fails the first step
+        raise ConfigError(str(exc)) from exc
     doc = report.to_json_dict()
     header = ["m", "l2", "sup", "ratio", "gamma", "q_norm", "trunc_loss"]
     rows = [[r.m, r.l2, r.sup, None if math.isnan(r.ratio) else r.ratio,

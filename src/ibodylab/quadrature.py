@@ -11,6 +11,18 @@ Two reductions are used throughout the package:
 
 All weights are normalized to total mass 1, so constants integrate to 1 and
 no surface-area factors appear downstream.
+
+Gauss rules are built with numpy alone, after Golub & Welsch (1969).  The
+symmetric Jacobi matrix J of the weight has a zero diagonal, so J^2 splits
+into two tridiagonal blocks by the parity of the row; the block on the odd
+rows, of size n // 2, has the squares of the positive nodes as eigenvalues
+for either parity of n.  `numpy.linalg.eigvalsh` of that half-size block
+gives them, two Newton steps on p_n polish their square roots, and the
+weights are the Christoffel numbers 1 / (p_0^2 + ... + p_{n-1}^2) of the
+orthonormal p_k, normalized to sum 1.  The recurrence runs two degrees at
+a time, so no (n, n) or (n, n/2) table is stored.  The negative half is
+the mirror image of the positive one (plus the node 0 when n is odd), so
+the +/- symmetry of nodes and weights is exact.
 """
 
 from __future__ import annotations
@@ -19,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +114,7 @@ def recurrence_offdiag(exponent: float, n: int) -> np.ndarray:
 
 def gauss_jacobi_rule(d: int, exponent: float, n: int) -> JacobiRule:
     """Build the n-point Gauss rule for the normalized weight
-    (1 - t^2)^exponent via the Golub-Welsch eigenproblem.
+    (1 - t^2)^exponent (see the module docstring for the construction).
 
     Parameters
     ----------
@@ -136,20 +147,48 @@ def gauss_jacobi_rule(d: int, exponent: float, n: int) -> JacobiRule:
 
 @lru_cache(maxsize=256)
 def _rule_cached(d: int, exponent: float, n: int) -> JacobiRule:
+    c = recurrence_offdiag(exponent, n + 1)
+    # J^2 restricted to the odd rows of the n x n Jacobi matrix: with
+    # c_0 = c_n = 0, its diagonal is c_{2j+1}^2 + c_{2j+2}^2 and its
+    # off-diagonal c_{2j+2} c_{2j+3}; eigvalsh reads the lower triangle
+    pad = np.concatenate(([0.0], c[:-1], [0.0]))
+    m = n // 2
+    odd, even = pad[1:2 * m:2], pad[2:2 * m + 1:2]
+    block = np.diag(odd**2 + even**2)
+    rows = np.arange(m - 1)
+    block[rows + 1, rows] = even[:-1] * odd[1:]
+    # nonnegative half of the nodes: 0 when n is odd, then x = sqrt(x^2)
+    half = np.concatenate((np.zeros(n % 2), np.sqrt(np.linalg.eigvalsh(block))))
+    for _ in range(2):
+        half = half - _recurrence_sweep(c, half)[0]
+    w = 1.0 / _recurrence_sweep(c, half)[1]
+    pos = slice(n % 2, None)
+    nodes = np.concatenate((-half[pos][::-1], half))
+    weights = np.concatenate((w[pos][::-1], w))
+    weights /= weights.sum()
     # rules are shared across callers, so their arrays are frozen
-    if n == 1:
-        nodes, weights = np.zeros(1), np.ones(1)
-    else:
-        off = recurrence_offdiag(exponent, n)
-        nodes, vecs = eigh_tridiagonal(np.zeros(n), off)
-        weights = vecs[0, :] ** 2
-        # enforce the exact +/- symmetry the zero-diagonal matrix guarantees
-        nodes = 0.5 * (nodes - nodes[::-1])
-        weights = 0.5 * (weights + weights[::-1])
-        weights = weights / weights.sum()
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return JacobiRule(d, exponent, nodes, weights)
+
+
+def _recurrence_sweep(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton step p_n / p_n' and Christoffel sum p_0^2 + ... + p_{n-1}^2
+    at x, for the orthonormal p_k of c = recurrence_offdiag(exponent, n + 1).
+
+    Runs the three-term recurrence and its derivative two degrees at a
+    time, so memory stays O(x.size).
+    """
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+    christoffel = np.zeros_like(x)
+    c_prev = 0.0
+    for ck in c:
+        christoffel += p * p
+        p_prev, p = p, (x * p - c_prev * p_prev) / ck
+        dp_prev, dp = dp, (p_prev + x * dp - c_prev * dp_prev) / ck
+        c_prev = ck
+    return p / dp, christoffel
 
 
 def s2_grid(level: int) -> S2Grid:

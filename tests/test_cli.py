@@ -207,6 +207,20 @@ def test_preset_perturb_conflict_is_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,values", [
+    ("eigen-check", {"dims": "3"}),
+    ("iterate", {"band_limit": 16.5}),
+    ("iterate", {"perturb": [[4, 0.001]]}),
+])
+def test_mistyped_config_value_is_exit_2(tmp_path, capsys, command, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    code, _, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert repr(next(iter(values))) in err
+
+
 def test_bad_axes_is_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"axes": [1.0, -2.0, 1.0]}))
@@ -219,6 +233,14 @@ def test_bad_iteration_options_are_exit_2(flags, capsys):
     code, _, err = run_cli(["iterate"] + flags, capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_start_outside_step_domain_is_exit_2(capsys):
+    # epsilon 0.45 puts the start's radial function beyond 1 +- 1/2
+    code, _, err = run_cli(["iterate", "--epsilon", "0.45"], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "1/2" in err
 
 
 @pytest.mark.parametrize("amplitude", ["nan", "inf"])
@@ -277,3 +299,16 @@ def test_module_invocation_nan_perturbation_is_a_config_error():
     assert p.returncode == 2
     assert p.stderr.startswith("error:")
     assert "Traceback" not in p.stderr
+
+
+def test_runs_without_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests alone
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import ibodylab\n"
+            "import ibodylab.cli\n"
+            "sys.exit(ibodylab.cli.main(['iterate', '--steps', '2']))\n")
+    p = subprocess.run([sys.executable, "-c", code],
+                       capture_output=True, text=True, env=CHILD_ENV)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.startswith("m,l2,")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
 from ibodylab import (
     JacobiRule,
@@ -11,6 +12,7 @@ from ibodylab import (
     integrate,
     s2_grid,
     sphere_exponent,
+    zonal_basis_matrix,
 )
 
 
@@ -26,7 +28,7 @@ def test_one_point_rule_is_midpoint():
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 7, 12])
-@pytest.mark.parametrize("n", [1, 2, 7, 40])
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 2080])
 def test_weights_sum_to_one(d, n):
     r = gauss_jacobi_rule(d, sphere_exponent(d), n)
     assert abs(r.weights.sum() - 1.0) <= 1e-14
@@ -41,11 +43,42 @@ def test_second_moment_is_one_over_d(d):
 
 
 def test_nodes_sorted_and_symmetric():
-    for d, n in [(3, 9), (5, 16), (8, 11)]:
+    for d, n in [(3, 9), (5, 16), (8, 11), (3, 2080), (10, 2080)]:
         r = gauss_jacobi_rule(d, sphere_exponent(d), n)
         assert (np.diff(r.nodes) > 0).all()
         assert np.array_equal(r.nodes, -r.nodes[::-1])
         assert np.array_equal(r.weights, r.weights[::-1])
+
+
+@pytest.mark.parametrize("n", [64, 520])
+def test_legendre_rule_matches_numpy_leggauss(n):
+    r = gauss_jacobi_rule(3, 0.0, n)
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_allclose(r.nodes, nodes, rtol=0, atol=1e-15)
+    # leggauss's own end weights are off by up to 6e-10 relative at n = 520
+    np.testing.assert_allclose(r.weights, weights / 2.0, rtol=1e-8, atol=0)
+
+
+@pytest.mark.parametrize("d", [4, 7, 12, 30])
+@pytest.mark.parametrize("sub", [False, True])
+@pytest.mark.parametrize("n", [40, 520])
+def test_nodes_match_scipy_roots_jacobi(d, sub, n):
+    exponent = (d - 4) / 2.0 if sub else sphere_exponent(d)
+    r = gauss_jacobi_rule(d, exponent, n)
+    nodes, _ = roots_jacobi(n, exponent, exponent)
+    np.testing.assert_allclose(r.nodes, nodes, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [3, 7, 10])
+def test_zonal_basis_is_orthonormal_on_the_rule(d):
+    # Gauss rules of order n integrate Z_j Z_k exactly for j, k < n
+    n = 2080
+    r = gauss_jacobi_rule(d, sphere_exponent(d), n)
+    z = zonal_basis_matrix(d, n - 1, r.nodes)
+    z *= np.sqrt(r.weights)
+    gram = z @ z.T
+    gram[np.diag_indices(n)] -= 1.0
+    assert np.abs(gram).max() <= 1e-12
 
 
 def _quad_moment(lam: float, p: int) -> float:
