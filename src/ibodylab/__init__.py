@@ -19,22 +19,16 @@ from .analysis import (
     approx_decay_norm,
     c2_norm,
     cutoff_profile,
-    degree_energies,
     derivative_sup_norms,
     l2_norm,
-    mean_value,
-    project_degree,
     smooth_cutoff,
     sup_norm,
 )
 from .bodies import (
-    LinearMap,
     PositivityError,
     StarBody,
     apply_linear_map,
     ball_body,
-    ball_volume,
-    direction_map_distortion,
     ellipsoid_body,
     ellipsoid_intersection_closed_form,
     intersection_body,
@@ -52,11 +46,9 @@ from .iteration import (
     cap_scaling_exponents,
     fit_degree2_correction,
     iterate_step,
-    linearized_spectrum,
-    quadratic_form_profile,
     run_iteration,
 )
-from .quadrature import JacobiRule, S2Grid, even_moment, gauss_jacobi_rule, integrate, s2_grid
+from .quadrature import JacobiRule, S2Grid, gauss_jacobi_rule, s2_grid
 from .radon import (
     SmoothingGainResult,
     radon_coefficient,
@@ -78,12 +70,9 @@ from .sphharm import (
 )
 from .zonal import (
     ZonalProfile,
-    analyze_zonal,
     default_rule,
     sphere_exponent,
     subsphere_rule,
-    synthesize_zonal,
-    zonal_basis_eval,
     zonal_basis_matrix,
 )
 

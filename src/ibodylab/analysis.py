@@ -1,4 +1,4 @@
-"""Norms, degree spectra, multiplier operators, and derivative bounds.
+"""Norms, multiplier operators, and derivative bounds.
 
 Functions here accept either representation through the interface that
 ZonalProfile and S2Function share (coeffs, degrees, with_coeffs, energies,
@@ -23,26 +23,9 @@ from .zonal import ZonalProfile
 # ---------------------------------------------------------------------------
 # coefficient-space basics
 
-def degree_energies(f) -> np.ndarray:
-    """Energy per harmonic degree, e_k = squared coefficient mass at degree k."""
-    return f.energies()
-
-
 def l2_norm(f) -> float:
     """L^2 norm for the unit-mass surface measure (Parseval, exact in coeffs)."""
     return float(np.sqrt(f.energies().sum()))
-
-
-def mean_value(f) -> float:
-    """Surface average; the coefficient of the constant basis element."""
-    return float(f.coeffs[0])
-
-
-def project_degree(f, k: int):
-    """The degree-k component of f, same representation."""
-    if k > f.band_limit:
-        raise ValueError(f"degree {k} exceeds band limit {f.band_limit}")
-    return f.with_coeffs(np.where(f.degrees == k, f.coeffs, 0.0))
 
 
 def _multiplier_values(m, kmax: int) -> np.ndarray:

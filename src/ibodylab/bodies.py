@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .radon import radon_geometric_s2, radon_geometric_zonal, radon_multiplier
-from .seeding import make_rng
 from .sphharm import S2Function, default_s2_grid, tangent_frame
 from .zonal import ZonalProfile, default_rule, subsphere_rule
 
@@ -39,49 +38,6 @@ def _strictly_positive(values) -> bool:
 def sphere_area(n: int) -> float:
     """Surface area of the unit sphere S^n in R^(n+1)."""
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
-
-
-def ball_volume(n: int) -> float:
-    """Volume of the unit ball in R^n."""
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-
-
-@dataclass(frozen=True, eq=False)
-class LinearMap:
-    """Invertible linear map with cached operator norms."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("linear map must be a square matrix")
-        object.__setattr__(self, "matrix", m)
-        det = float(np.linalg.det(m))
-        if abs(det) < 1e-300:
-            raise ValueError("linear map must be invertible")
-        object.__setattr__(self, "_det", det)
-        s = np.linalg.svd(m, compute_uv=False)
-        object.__setattr__(self, "_op_norm", float(s[0]))
-        object.__setattr__(self, "_inv_norm", float(1.0 / s[-1]))
-
-    @property
-    def det(self) -> float:
-        return self._det
-
-    @property
-    def op_norm(self) -> float:
-        return self._op_norm
-
-    @property
-    def inv_norm(self) -> float:
-        return self._inv_norm
-
-
-def _as_matrix(T) -> np.ndarray:
-    if isinstance(T, LinearMap):
-        return T.matrix
-    return LinearMap(np.asarray(T, dtype=float)).matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +123,15 @@ def ball_body(d: int, band_limit: int, representation: str = "zonal") -> StarBod
 # ---------------------------------------------------------------------------
 # GL(d) action
 
+def _as_matrix(T) -> np.ndarray:
+    m = np.asarray(T, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("linear map must be a square matrix")
+    if abs(float(np.linalg.det(m))) < 1e-300:
+        raise ValueError("linear map must be invertible")
+    return m
+
+
 def _axis_form(m: np.ndarray) -> tuple[float, float]:
     """Decompose m = diag(a, ..., a, b); error out otherwise."""
     d = m.shape[0]
@@ -208,37 +173,6 @@ def apply_linear_map(f, T):
     norms = np.linalg.norm(mapped, axis=1)
     vals = f.eval_at_points(mapped / norms[:, None]) / norms
     return S2Function.from_values(f.band_limit, vals.reshape(f.grid.weights.shape), f.grid)
-
-
-def direction_map_distortion(T, samples: int = 8192, seed: int = 0) -> float:
-    """max |Tx/|Tx| - x| over the sphere, for T = I + Q with Q symmetric,
-    |Q| < 1/2 (operator norm).
-
-    Sampled deterministically: seeded unit vectors plus the eigenvector
-    combinations of Q where the maximum of such quadratic-form distortions
-    sits in practice.
-    """
-    m = _as_matrix(T)
-    d = m.shape[0]
-    q = m - np.eye(d)
-    if np.abs(q - q.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
-        raise ValueError("distortion bound requires a symmetric perturbation")
-    qnorm = float(np.abs(np.linalg.eigvalsh(0.5 * (q + q.T))).max())
-    if qnorm >= 0.5:
-        raise ValueError(f"perturbation norm {qnorm:.3f} is not below 1/2")
-    rng = make_rng(seed)
-    pts = rng.standard_normal((samples, d))
-    _, vecs = np.linalg.eigh(0.5 * (q + q.T))
-    cand = [vecs[:, i] for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            cand.append((vecs[:, i] + vecs[:, j]) / np.sqrt(2.0))
-            cand.append((vecs[:, i] - vecs[:, j]) / np.sqrt(2.0))
-    pts = np.vstack([pts, np.asarray(cand)])
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    mapped = pts @ m.T
-    mapped /= np.linalg.norm(mapped, axis=1, keepdims=True)
-    return float(np.linalg.norm(mapped - pts, axis=1).max())
 
 
 # ---------------------------------------------------------------------------

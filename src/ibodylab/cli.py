@@ -1,12 +1,15 @@
 """Command line driver for reproducible experiments.
 
-Every command resolves its configuration from built-in defaults, an
-optional JSON config file, and command line flags, in that order (flags
-win).  With --out DIR each command persists report.json (versioned),
-report.csv, and config.resolved.json, which are byte-identical across
-re-runs of the same resolved config; wall-clock metadata goes to the
-run_meta.json sidecar only.  Exit codes: 0 all checks within tolerance,
-1 a tolerance or convergence failure, 2 invalid configuration.
+Every command declares its options once, in the COMMANDS table: each
+option's key names both its config key and its flag, and its kind gives
+the flag's parser and the check that every resolved value must pass.  A
+command resolves its configuration from those defaults, an optional JSON
+config file, and command line flags, in that order (flags win).  With
+--out DIR each command persists report.json (versioned), report.csv,
+and config.resolved.json, which are byte-identical across re-runs of
+the same resolved config; wall-clock metadata goes to the run_meta.json
+sidecar only.  Exit codes: 0 all checks within tolerance, 1 a tolerance
+or convergence failure, 2 invalid configuration.
 """
 
 from __future__ import annotations
@@ -21,11 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import apply_multiplier, l2_norm, smooth_cutoff, sup_norm
+from .analysis import apply_multiplier, smooth_cutoff, sup_norm
 from .bodies import (
     PositivityError,
     StarBody,
-    ball_body,
     ellipsoid_body,
     ellipsoid_intersection_closed_form,
     intersection_body,
@@ -96,10 +98,12 @@ def _parse_perturb(text: str) -> dict[int, float]:
     return out
 
 
-def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags, returning one flat dict."""
-    file_values: dict = {}
-    if getattr(args, "config", None):
+def _resolve_config(args: argparse.Namespace) -> dict:
+    """defaults < config file < explicit flags, returning one flat dict;
+    every value must then pass the check of its option's kind."""
+    options = COMMANDS[args.command][2] + _COMMON
+    resolved = {key: default for key, _, default, _ in options}
+    if args.config:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file {path} does not exist")
@@ -109,16 +113,25 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(file_values) - set(defaults)
+        unknown = set(file_values) - set(resolved)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        _check_config_types(args.command, file_values, defaults)
-    resolved = dict(defaults)
-    resolved.update(file_values)
-    for key in defaults:
-        val = getattr(args, key, None)
+        resolved.update(file_values)
+    for key in resolved:
+        val = getattr(args, key)
         if val is not None:
             resolved[key] = val
+    for key, kind, default, _ in options:
+        value = resolved[key]
+        if value is None and default is None:
+            continue
+        if isinstance(kind, tuple):
+            ok, want = value in kind, f"one of {list(kind)}"
+        else:
+            test, want = _KINDS[kind][1:]
+            ok = test(value)
+        if not ok:
+            raise ConfigError(f"option {key!r} must be {want}, got {value!r}")
     return resolved
 
 
@@ -126,43 +139,27 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
-# flag type -> (test of a JSON value, what the flag parses to)
-_JSON_TYPES = {
-    int: (_is_int, "an integer"),
-    float: (_is_number, "a number"),
-    _parse_ints: (lambda v: isinstance(v, list) and all(map(_is_int, v)),
-                  "a list of integers"),
-    _parse_floats: (lambda v: isinstance(v, list) and all(map(_is_number, v)),
-                    "a list of numbers"),
-    None: (lambda v: isinstance(v, str), "a string"),
+def _non_empty_list_of(test):
+    return lambda v: isinstance(v, list) and bool(v) and all(map(test, v))
+
+
+# option kind -> (flag type, test of a resolved value, what the test wants);
+# a tuple kind lists the choices of a string option
+_KINDS = {
+    "int": (int, _is_int, "an integer"),
+    "count": (int, lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    "float": (float, _is_finite, "a finite number"),
+    "ints": (_parse_ints, _non_empty_list_of(_is_int), "a non-empty list of integers"),
+    "floats": (_parse_floats, _non_empty_list_of(_is_finite),
+               "a non-empty list of finite numbers"),
+    "str": (None, lambda v: isinstance(v, str), "a string"),
+    "bool": (None, lambda v: isinstance(v, bool), "true or false"),
 }
-
-
-def _check_config_types(command: str, file_values: dict, defaults: dict) -> None:
-    """Reject config values of another type than their flag parses to;
-    null is accepted where the default is null."""
-    subs = next(a for a in build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction))
-    for action in subs.choices[command]._actions:
-        key = action.dest
-        if key not in file_values:
-            continue
-        value = file_values[key]
-        if value is None and defaults[key] is None:
-            continue
-        if action.choices is not None:
-            ok, want = value in action.choices, f"one of {list(action.choices)}"
-        elif isinstance(action, argparse.BooleanOptionalAction):
-            ok, want = isinstance(value, bool), "true or false"
-        else:
-            test, want = _JSON_TYPES[action.type]
-            ok = test(value)
-        if not ok:
-            raise ConfigError(f"config key {key!r} must be {want}, got {value!r}")
 
 
 def _csv_cell(value) -> str:
@@ -307,9 +304,7 @@ def cmd_ellipsoid_check(cfg: dict) -> int:
     body = ellipsoid_body(a, band_limit=band_limit)
     numeric = intersection_body(body, method=cfg["method"])
     exact = ellipsoid_intersection_closed_form(a, band_limit=band_limit)
-    pts = numeric.profile.grid.points().reshape(-1, 3)
-    got = numeric.radial_eval(pts)
-    want = exact.radial_eval(pts)
+    got, want = numeric.profile.values, exact.profile.values
     rel = float(np.max(np.abs(got - want) / np.abs(want)))
     header = ["axis_x", "axis_y", "axis_z", "rel_sup_error"]
     rows = [[axes[0], axes[1], axes[2], rel]]
@@ -330,8 +325,6 @@ def _start_body(cfg: dict) -> StarBody:
         raise ConfigError("band_limit must be >= 4")
     if not 0.0 < eps:
         raise ConfigError("epsilon must be positive")
-    if rep not in ("zonal", "s2"):
-        raise ConfigError(f"unknown representation {rep!r}")
     if rep == "s2" and d != 3:
         raise ConfigError("the s2 representation requires dim 3")
     preset = cfg["preset"]
@@ -349,12 +342,10 @@ def _start_body(cfg: dict) -> StarBody:
             weights = {k: 1.0 for k in (4, 6, 8, 10, 12) if k <= band_limit}
         elif name == "h2-only":
             weights = {2: 1.0}
-        elif name == "random-even":
+        else:  # random-even
             spread_m = True
             for k in range(2, band_limit + 1, 2):
                 weights[k] = float(rng.standard_normal()) / (1.0 + k)
-        else:
-            raise ConfigError(f"unknown preset {name!r}")
     for k, w in weights.items():
         if k % 2 or k < 2 or k > band_limit:
             raise ConfigError(
@@ -528,58 +519,64 @@ def cmd_cap_scaling(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
-_DEFAULTS = {
-    "eigen-check": {
-        "dims": [3, 4, 5, 7], "k_max": 20,
-        "seed": 0, "out": None, "format": "csv",
-    },
-    "radon-oracle": {
-        "dim": 3, "band_limit": 24, "trials": 3,
-        "seed": 0, "out": None, "format": "csv",
-    },
-    "ellipsoid-check": {
-        "axes": [1.2, 1.0, 0.8], "band_limit": 32, "method": "spectral",
-        "seed": 0, "out": None, "format": "csv",
-    },
-    "iterate": {
-        "dim": 3, "band_limit": 16, "epsilon": 1e-3, "steps": 10,
-        "stop_tol": 1e-12, "preset": None, "perturb": None,
-        "representation": "zonal", "kill_h2": True, "raw_power": False,
-        "method": "spectral", "alpha": None,
-        "seed": 0, "out": None, "format": "csv",
-    },
-    "multiplier-bound": {
-        "dim": 3, "band_limit": 300, "n_list": [4, 8, 16, 32, 64, 128, 256],
-        "corpus_size": 50,
-        "seed": 0, "out": None, "format": "csv",
-    },
-    "smoothing-gain": {
-        "dim": 3, "decay": 2.0, "band_limit": 4096,
-        "seed": 0, "out": None, "format": "csv",
-    },
-    "cap-scaling": {
-        "dim": 3, "widths": None, "resolution": 4096,
-        "seed": 0, "out": None, "format": "csv",
-    },
+_COMMON = [
+    ("seed", "int", 0, "seed for all randomness"),
+    ("out", "str", None, "directory for report files"),
+    ("format", ("json", "csv"), "csv",
+     "stdout rendering (files are always written with --out)"),
+]
+
+# command -> (handler, help, [(key, kind, default, help), ...]); each key is
+# a config key and, with "-" for "_", a flag
+COMMANDS = {
+    "eigen-check": (cmd_eigen_check, "spectral vs geometric transform eigenvalues", [
+        ("dims", "ints", [3, 4, 5, 7], "comma list of dimensions"),
+        ("k_max", "int", 20, "largest degree"),
+    ]),
+    "radon-oracle": (cmd_radon_oracle, "dual-route transform agreement on random inputs", [
+        ("dim", "int", 3, None),
+        ("band_limit", "int", 24, None),
+        ("trials", "count", 3, None),
+    ]),
+    "ellipsoid-check": (
+        cmd_ellipsoid_check, "numeric intersection body vs the ellipsoid closed form", [
+            ("axes", "floats", [1.2, 1.0, 0.8], "three semiaxes, e.g. 1.2,1.0,0.8"),
+            ("band_limit", "int", 32, None),
+            ("method", ("spectral", "geometric"), "spectral", None),
+        ]),
+    "iterate": (cmd_iterate, "run the corrected iteration", [
+        ("dim", "int", 3, None),
+        ("band_limit", "int", 16, None),
+        ("epsilon", "float", 1e-3, "L2 size of the starting perturbation"),
+        ("steps", "count", 10, "maximum number of steps"),
+        ("stop_tol", "float", 1e-12, None),
+        ("preset", ("z4-mix", "h2-only", "random-even"), None, None),
+        ("perturb", "str", None, "explicit degree:amplitude list, e.g. 4:1,6:0.5"),
+        ("representation", ("zonal", "s2"), "zonal", None),
+        ("kill_h2", "bool", True, "apply the degree-2 correction map each step"),
+        ("raw_power", "bool", False, "bare power recursion, no correction or rescale"),
+        ("method", ("spectral", "geometric"), "spectral", None),
+        ("alpha", "float", None, "decay exponent to track (default 4 when dim is 3)"),
+    ]),
+    "multiplier-bound": (
+        cmd_multiplier_bound, "sup-norm ratios of the smooth cutoff over a corpus", [
+            ("dim", "int", 3, None),
+            ("band_limit", "int", 300, None),
+            ("n_list", "ints", [4, 8, 16, 32, 64, 128, 256], "comma list of cutoff degrees"),
+            ("corpus_size", "count", 50, None),
+        ]),
+    "smoothing-gain": (cmd_smoothing_gain, "tail-energy transfer slope of the transform", [
+        ("dim", "int", 3, None),
+        ("decay", "float", 2.0, "coefficient decay exponent"),
+        ("band_limit", "int", 4096, None),
+    ]),
+    "cap-scaling": (
+        cmd_cap_scaling, "sup and gradient norms of cap bumps against L2 size", [
+            ("dim", "int", 3, None),
+            ("widths", "floats", None, "comma list of cap widths"),
+            ("resolution", "int", 4096, None),
+        ]),
 }
-
-_HANDLERS = {
-    "eigen-check": cmd_eigen_check,
-    "radon-oracle": cmd_radon_oracle,
-    "ellipsoid-check": cmd_ellipsoid_check,
-    "iterate": cmd_iterate,
-    "multiplier-bound": cmd_multiplier_bound,
-    "smoothing-gain": cmd_smoothing_gain,
-    "cap-scaling": cmd_cap_scaling,
-}
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, help="seed for all randomness")
-    sub.add_argument("--out", help="directory for report files")
-    sub.add_argument("--format", choices=("json", "csv"),
-                     help="stdout rendering (files are always written with --out)")
-    sub.add_argument("--config", help="JSON config file; flags win over it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -589,79 +586,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "near the ball")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("eigen-check",
-                        help="spectral vs geometric transform eigenvalues")
-    p.add_argument("--dims", type=_parse_ints, help="comma list of dimensions")
-    p.add_argument("--k-max", dest="k_max", type=int, help="largest degree")
-    _add_common(p)
-
-    p = subs.add_parser("radon-oracle",
-                        help="dual-route transform agreement on random inputs")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--band-limit", dest="band_limit", type=int)
-    p.add_argument("--trials", type=int)
-    _add_common(p)
-
-    p = subs.add_parser("ellipsoid-check",
-                        help="numeric intersection body vs the ellipsoid closed form")
-    p.add_argument("--axes", type=_parse_floats, help="three semiaxes, e.g. 1.2,1.0,0.8")
-    p.add_argument("--band-limit", dest="band_limit", type=int)
-    p.add_argument("--method", choices=("spectral", "geometric"))
-    _add_common(p)
-
-    p = subs.add_parser("iterate", help="run the corrected iteration")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--band-limit", dest="band_limit", type=int)
-    p.add_argument("--epsilon", type=float, help="L2 size of the starting perturbation")
-    p.add_argument("--steps", type=int, help="maximum number of steps")
-    p.add_argument("--stop-tol", dest="stop_tol", type=float)
-    p.add_argument("--preset", choices=("z4-mix", "h2-only", "random-even"))
-    p.add_argument("--perturb", help="explicit degree:amplitude list, e.g. 4:1,6:0.5")
-    p.add_argument("--representation", choices=("zonal", "s2"))
-    p.add_argument("--kill-h2", dest="kill_h2",
-                   action=argparse.BooleanOptionalAction,
-                   help="apply the degree-2 correction map each step")
-    p.add_argument("--raw-power", dest="raw_power",
-                   action=argparse.BooleanOptionalAction,
-                   help="bare power recursion, no correction or rescale")
-    p.add_argument("--method", choices=("spectral", "geometric"))
-    p.add_argument("--alpha", type=float,
-                   help="decay exponent to track (default 4 when dim is 3)")
-    _add_common(p)
-
-    p = subs.add_parser("multiplier-bound",
-                        help="sup-norm ratios of the smooth cutoff over a corpus")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--band-limit", dest="band_limit", type=int)
-    p.add_argument("--n-list", dest="n_list", type=_parse_ints,
-                   help="comma list of cutoff degrees")
-    p.add_argument("--corpus-size", dest="corpus_size", type=int)
-    _add_common(p)
-
-    p = subs.add_parser("smoothing-gain",
-                        help="tail-energy transfer slope of the transform")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--decay", type=float, help="coefficient decay exponent")
-    p.add_argument("--band-limit", dest="band_limit", type=int)
-    _add_common(p)
-
-    p = subs.add_parser("cap-scaling",
-                        help="sup and gradient norms of cap bumps against L2 size")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--widths", type=_parse_floats, help="comma list of cap widths")
-    p.add_argument("--resolution", type=int)
-    _add_common(p)
-
+    for name, (_, help_text, options) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for key, kind, _, option_help in options + _COMMON:
+            flag = "--" + key.replace("_", "-")
+            if isinstance(kind, tuple):
+                sub.add_argument(flag, dest=key, choices=kind, help=option_help)
+            elif kind == "bool":
+                sub.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction,
+                                 help=option_help)
+            else:
+                sub.add_argument(flag, dest=key, type=_KINDS[kind][0], help=option_help)
+        sub.add_argument("--config", help="JSON config file; flags win over it")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args, _DEFAULTS[args.command])
-        return _HANDLERS[args.command](cfg)
+        return COMMANDS[args.command][0](_resolve_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,10 +10,9 @@ transform) and gamma rescales the output to surface mean 1.  A raw mode
 runs the bare recursion rho -> R(rho^(d-1)) with no correction and no
 rescale, which lets the mean drift inside the expected power envelope.
 
-The module also provides the linearized per-degree multipliers, upper
-bounds for the distance to the ball modulo linear maps, and the cap
-family scaling experiment for the sup and gradient norms against the
-L2 norm.
+The module also provides upper bounds for the distance to the ball
+modulo linear maps, and the cap family scaling experiment for the sup
+and gradient norms against the L2 norm.
 """
 
 from __future__ import annotations
@@ -24,11 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import _decay_tail, c2_norm, degree_energies, l2_norm, sup_norm
+from .analysis import _decay_tail, c2_norm, l2_norm, sup_norm
 from .bodies import StarBody, apply_linear_map, radon_of_power
-from .radon import radon_multiplier
-from .sphharm import S2Function
-from .zonal import ZonalProfile, analyze_zonal
+from .zonal import ZonalProfile
 
 
 class DivergenceError(RuntimeError):
@@ -81,8 +78,8 @@ def fit_degree2_correction(phi) -> np.ndarray:
         d = phi.dim
         if phi.band_limit < 2:
             return np.zeros((d, d))
-        cal = analyze_zonal(
-            d, 2, phi.rule.nodes**2 - 1.0 / d, phi.rule)[2]
+        cal = ZonalProfile.from_values(
+            d, 2, phi.rule.nodes**2 - 1.0 / d, phi.rule).coeffs[2]
         q_axis = np.diag(np.full(d, -1.0 / d))
         q_axis[-1, -1] = (d - 1.0) / d
         return (float(coeffs[2]) / cal) * q_axis
@@ -102,20 +99,6 @@ def fit_degree2_correction(phi) -> np.ndarray:
     return c * moment(vals)
 
 
-def quadratic_form_profile(q: np.ndarray, like):
-    """The restriction of x -> (qx, x) to the sphere, in the same
-    representation as `like` (used by tests to verify the fit pointwise)."""
-    q = np.asarray(q, dtype=float)
-    if isinstance(like, ZonalProfile):
-        a, b = float(q[0, 0]), float(q[-1, -1])
-        t = like.rule.nodes
-        vals = a * (1.0 - t * t) + b * t * t
-        return ZonalProfile.from_values(like.dim, like.band_limit, vals, like.rule)
-    pts = like.grid.points()
-    vals = np.einsum("tpi,ij,tpj->tp", pts, q, pts)
-    return S2Function.from_values(like.band_limit, vals, like.grid)
-
-
 # ---------------------------------------------------------------------------
 # one step and full runs
 
@@ -125,15 +108,13 @@ class IterationOptions:
 
     kill_h2 applies the degree-2 correction map before each power step;
     raw_power_mode runs the bare recursion instead (no correction, no
-    mean rescale).  band_limit, when set, re-projects the starting body.
-    track_decay_alpha and track_c2 add the corresponding norms to every
-    step record (slower; off by default).
+    mean rescale).  track_decay_alpha and track_c2 add the corresponding
+    norms to every step record (slower; off by default).
     """
     kill_h2: bool = True
     raw_power_mode: bool = False
     max_steps: int = 20
     stop_tol: float = 1e-12
-    band_limit: int | None = None
     method: str = "spectral"
     track_decay_alpha: float | None = None
     track_c2: bool = False
@@ -192,7 +173,7 @@ def _state_record(body: StarBody, m: int, opts: IterationOptions,
         m=m,
         l2=l2_norm(dev),
         sup=sup,
-        energies=degree_energies(dev),
+        energies=dev.energies(),
         q_matrix=q,
         gamma=gamma,
         ratio=ratio,
@@ -313,17 +294,6 @@ class IterationReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _reprojected(body: StarBody, band_limit: int) -> StarBody:
-    f = body.profile
-    if band_limit == f.band_limit:
-        return body
-    # both layouts list the coefficients by increasing degree
-    c = np.zeros(band_limit + 1 if f.representation == "zonal" else (band_limit + 1) ** 2)
-    kept = f.coeffs[f.degrees <= band_limit]
-    c[:kept.size] = kept
-    return StarBody(f.with_coeffs(c), meta=dict(body.meta))
-
-
 def run_iteration(body: StarBody, opts: IterationOptions) -> IterationReport:
     """Drive iterate_step until the L2 deviation falls below stop_tol or
     max_steps is reached.
@@ -334,8 +304,6 @@ def run_iteration(body: StarBody, opts: IterationOptions) -> IterationReport:
     doubles the L2 deviation raises DivergenceError with the partial
     report attached.
     """
-    if opts.band_limit is not None:
-        body = _reprojected(body, opts.band_limit)
     if not opts.raw_power_mode:
         body = _rescaled_to_mean_one(body)
     d = body.dim
@@ -375,14 +343,6 @@ def run_iteration(body: StarBody, opts: IterationOptions) -> IterationReport:
     if records[-1].l2 < opts.stop_tol:
         return close("converged")
     return close("max_steps")
-
-
-def linearized_spectrum(d: int, band_limit: int) -> np.ndarray:
-    """Per-degree multipliers of the linearization at the ball: the
-    transform multiplier times (d-1), zero on odd degrees.  Entry 2 is
-    -1 (the neutral mode) and entry 4 has the largest magnitude 3/(d+1)
-    among degrees 4 and up."""
-    return (d - 1.0) * radon_multiplier(d, band_limit)
 
 
 # ---------------------------------------------------------------------------

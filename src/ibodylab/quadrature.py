@@ -212,33 +212,3 @@ def _s2_grid_cached(level: int) -> S2Grid:
     phi.setflags(write=False)
     weights.setflags(write=False)
     return S2Grid(leg.nodes, leg.weights, phi, weights)
-
-
-def integrate(values: np.ndarray, rule: JacobiRule | S2Grid) -> float:
-    """Weighted sum of sampled values against a rule's weights."""
-    values = np.asarray(values, dtype=float)
-    if isinstance(rule, JacobiRule):
-        if values.shape != rule.nodes.shape:
-            raise ValueError(
-                f"values shape {values.shape} does not match rule order {rule.order}"
-            )
-        return float(values @ rule.weights)
-    if values.shape != rule.weights.shape:
-        raise ValueError(
-            f"values shape {values.shape} does not match grid shape {rule.weights.shape}"
-        )
-    return float((values * rule.weights).sum())
-
-
-def even_moment(exponent: float, power: int) -> float:
-    """Exact moment  integral of t^power  against the normalized weight
-    (1 - t^2)^exponent, for even nonnegative `power` (odd moments vanish).
-
-    Uses the ratio recurrence m_{2j} / m_{2j-2} = (2j - 1) / (2j + 2 lambda + 1).
-    """
-    if power % 2 == 1:
-        return 0.0
-    m = 1.0
-    for j in range(1, power // 2 + 1):
-        m *= (2.0 * j - 1.0) / (2.0 * j + 2.0 * exponent + 1.0)
-    return m

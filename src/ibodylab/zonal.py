@@ -21,6 +21,8 @@ import numpy as np
 
 from .quadrature import JacobiRule, gauss_jacobi_rule, recurrence_offdiag
 
+_CHUNK = 16384  # points per basis table in ZonalProfile.eval_at
+
 
 def sphere_exponent(d: int) -> float:
     """Weight exponent (d-3)/2 of the zonal reduction of S^(d-1)."""
@@ -52,13 +54,6 @@ def zonal_basis_matrix(d: int, kmax: int, t: np.ndarray) -> np.ndarray:
     for k in range(1, kmax):
         out[k + 1] = (t * out[k] - sb[k - 1] * out[k - 1]) / sb[k]
     return out
-
-
-def zonal_basis_eval(d: int, k: int, t) -> np.ndarray | float:
-    """Z_k at t (scalar or array)."""
-    scalar = np.isscalar(t)
-    vals = zonal_basis_matrix(d, k, np.atleast_1d(t))[k]
-    return float(vals[0]) if scalar else vals
 
 
 def zonal_basis_derivatives(d: int, kmax: int, t: np.ndarray):
@@ -126,9 +121,15 @@ class ZonalProfile:
         return cls(d, band_limit, rule, basis.T @ coeffs, coeffs)
 
     def eval_at(self, t) -> np.ndarray | float:
+        """f at heights t; the basis table is built _CHUNK points at a time."""
         scalar = np.isscalar(t)
         tt = np.atleast_1d(np.asarray(t, dtype=float))
-        vals = zonal_basis_matrix(self.dim, self.band_limit, tt.ravel()).T @ self.coeffs
+        flat = tt.ravel()
+        vals = np.empty(flat.size)
+        for start in range(0, flat.size, _CHUNK):
+            block = flat[start:start + _CHUNK]
+            vals[start:start + _CHUNK] = (
+                zonal_basis_matrix(self.dim, self.band_limit, block).T @ self.coeffs)
         vals = vals.reshape(tt.shape)
         return vals.item() if scalar else vals
 
@@ -184,15 +185,3 @@ def _check_rule(d: int, band_limit: int, rule: JacobiRule) -> None:
         raise ValueError(
             f"rule order {rule.order} cannot resolve band limit {band_limit}"
         )
-
-
-def analyze_zonal(d: int, band_limit: int, values: np.ndarray, rule: JacobiRule) -> np.ndarray:
-    """Coefficients <f, Z_k> from sampled values, k = 0..band_limit."""
-    basis = zonal_basis_matrix(d, band_limit, rule.nodes)
-    return basis @ (rule.weights * np.asarray(values, dtype=float))
-
-
-def synthesize_zonal(d: int, coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Evaluate sum_k coeffs[k] Z_k at points t."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    return zonal_basis_matrix(d, coeffs.size - 1, t).T @ coeffs

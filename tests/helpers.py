@@ -1,8 +1,10 @@
-"""Shared builders for randomized test inputs.
+"""Shared builders for randomized test inputs, and closed-form references.
 
-Everything here routes through make_rng so each test pins its own seed and
-reruns reproduce the same numbers bit for bit.
+Everything random routes through make_rng so each test pins its own seed
+and reruns reproduce the same numbers bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -53,3 +55,36 @@ def random_points_on_sphere(n: int, dim: int, seed: int) -> np.ndarray:
     rng = make_rng(seed)
     x = rng.standard_normal((n, dim))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def quadratic_form_profile(q: np.ndarray, like):
+    """The restriction of x -> (qx, x) to the sphere, in the same
+    representation as `like` (checks the degree-2 fit pointwise)."""
+    q = np.asarray(q, dtype=float)
+    if isinstance(like, ZonalProfile):
+        a, b = float(q[0, 0]), float(q[-1, -1])
+        t = like.rule.nodes
+        vals = a * (1.0 - t * t) + b * t * t
+        return ZonalProfile.from_values(like.dim, like.band_limit, vals, like.rule)
+    pts = like.grid.points()
+    vals = np.einsum("tpi,ij,tpj->tp", pts, q, pts)
+    return S2Function.from_values(like.band_limit, vals, like.grid)
+
+
+def even_moment(exponent: float, power: int) -> float:
+    """Exact moment  integral of t^power  against the normalized weight
+    (1 - t^2)^exponent, for even nonnegative `power` (odd moments vanish).
+
+    Uses the ratio recurrence m_{2j} / m_{2j-2} = (2j - 1) / (2j + 2 lambda + 1).
+    """
+    if power % 2 == 1:
+        return 0.0
+    m = 1.0
+    for j in range(1, power // 2 + 1):
+        m *= (2.0 * j - 1.0) / (2.0 * j + 2.0 * exponent + 1.0)
+    return m
+
+
+def ball_volume(n: int) -> float:
+    """Volume of the unit ball in R^n."""
+    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)

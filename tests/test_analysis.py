@@ -1,4 +1,4 @@
-"""Degree projections, Fourier multipliers, and the norm estimators."""
+"""Fourier multipliers and the norm estimators."""
 
 import numpy as np
 import pytest
@@ -10,24 +10,21 @@ from ibodylab import (
     approx_decay_norm,
     c2_norm,
     cutoff_profile,
-    degree_energies,
     derivative_sup_norms,
     l2_norm,
-    mean_value,
-    project_degree,
     smooth_cutoff,
     sup_norm,
-    zonal_basis_eval,
+    zonal_basis_matrix,
 )
 from helpers import random_even_s2, random_even_zonal
 
 
 # ---------------------------------------------------------------------------
-# norms and projections
+# norms
 
 def test_norms_on_constant():
     f = ZonalProfile.from_coeffs(3, np.array([2.0]))
-    assert mean_value(f) == pytest.approx(2.0, abs=1e-15)
+    assert f.coeffs[0] == pytest.approx(2.0, abs=1e-15)
     assert l2_norm(f) == pytest.approx(2.0, abs=1e-15)
     assert sup_norm(f) == pytest.approx(2.0, abs=1e-12)
 
@@ -38,31 +35,18 @@ def test_basis_modes_have_unit_l2_and_zero_mean(d, k):
     c[k] = 1.0
     f = ZonalProfile.from_coeffs(d, c)
     assert l2_norm(f) == pytest.approx(1.0, abs=1e-11)
-    assert abs(mean_value(f)) <= 1e-14
+    assert abs(f.coeffs[0]) <= 1e-14
 
 
 def test_degree_energies_partition_norm():
     f = random_even_zonal(3, 20, seed=8)
-    e = degree_energies(f)
+    e = f.energies()
     assert e.shape == (21,)
     assert np.all(e >= 0)
     assert float(e.sum()) == pytest.approx(l2_norm(f) ** 2, abs=1e-12)
     g = random_even_s2(10, seed=8)
-    eg = degree_energies(g)
+    eg = g.energies()
     assert float(eg.sum()) == pytest.approx(l2_norm(g) ** 2, abs=1e-12)
-
-
-def test_project_degree():
-    c = np.zeros(9)
-    c[2], c[4] = 1.5, -0.5
-    f = ZonalProfile.from_coeffs(3, c)
-    p2 = project_degree(f, 2)
-    assert p2.coeffs[2] == 1.5
-    assert np.sum(np.abs(np.delete(p2.coeffs, 2))) == 0.0
-    total = sum(project_degree(f, k).coeffs for k in range(9))
-    assert np.max(np.abs(total - f.coeffs)) <= 1e-11
-    with pytest.raises(ValueError):
-        project_degree(f, 9)
 
 
 def test_sup_norm_finds_interior_maximum():
@@ -70,7 +54,7 @@ def test_sup_norm_finds_interior_maximum():
     c = np.zeros(3)
     c[0], c[2] = 0.0, -1.0
     f = ZonalProfile.from_coeffs(3, c)
-    want = abs(zonal_basis_eval(3, 2, 1.0))  # max magnitude sits at the poles
+    want = abs(zonal_basis_matrix(3, 2, 1.0)[2, 0])  # max magnitude sits at the poles
     assert sup_norm(f) == pytest.approx(float(want), rel=1e-10)
 
 

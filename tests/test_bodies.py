@@ -6,21 +6,19 @@ import numpy as np
 import pytest
 
 from ibodylab import (
-    LinearMap,
     PositivityError,
     S2Function,
     StarBody,
     ZonalProfile,
     apply_linear_map,
     ball_body,
-    direction_map_distortion,
     ellipsoid_body,
     ellipsoid_intersection_closed_form,
     intersection_body,
     radon_of_power,
     section_volume,
 )
-from helpers import random_even_s2, random_points_on_sphere, s2_body, zonal_body
+from helpers import ball_volume, random_even_s2, random_points_on_sphere, s2_body, zonal_body
 
 
 # ---------------------------------------------------------------------------
@@ -120,26 +118,6 @@ def test_map_rejects_wrong_shape_and_singular():
         apply_linear_map(body, np.zeros((3, 3)))
 
 
-def test_linear_map_helpers():
-    m = LinearMap(np.diag([2.0, 1.0, 0.5]))
-    assert m.det == pytest.approx(1.0, rel=1e-14)
-    assert m.op_norm == pytest.approx(2.0, rel=1e-14)
-    assert m.inv_norm == pytest.approx(2.0, rel=1e-14)
-
-
-def test_direction_map_distortion():
-    assert direction_map_distortion(np.eye(3)) <= 1e-15
-    Q = np.array([[0.0, 0.006, 0.0], [0.006, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    dist = direction_map_distortion(np.eye(3) + Q, samples=16384, seed=2)
-    qn = 0.006
-    assert dist <= 2.0 * qn / (1.0 - qn)
-    # first order in ||Q||: dist(I + eps Q)/eps stabilizes as eps -> 0
-    base = Q / qn
-    vals = [direction_map_distortion(np.eye(3) + e * base, samples=16384, seed=2) / e
-            for e in (1e-2, 1e-3, 1e-4)]
-    assert abs(vals[2] - vals[1]) <= 0.02 * vals[1]
-
-
 # ---------------------------------------------------------------------------
 # the operator itself
 
@@ -202,7 +180,7 @@ def test_gl_equivariance_s2():
     Q = np.array([[0.0, 4e-4, 3e-4], [4e-4, 0.0, -2e-4], [3e-4, -2e-4, 0.0]])
     T = np.eye(3) + Q / np.linalg.norm(Q, 2) * 1e-3
     body = s2_body(16, seed=16, scale=0.05)
-    det = abs(LinearMap(T).det)
+    det = abs(np.linalg.det(T))
     lhs = radon_of_power(apply_linear_map(body, T), normalize=False).profile.coeffs
     rhs_body = apply_linear_map(radon_of_power(body, normalize=False), np.linalg.inv(T).T)
     assert np.max(np.abs(lhs - rhs_body.profile.coeffs / det)) <= 1e-5
@@ -245,8 +223,6 @@ def test_ellipsoid_axis_section():
 def test_section_consistency_zonal():
     # raw transform of rho^{d-1} is the section volume divided by the volume
     # of the unit (d-1)-ball; body chosen so rho^{d-1} stays inside the band
-    from ibodylab import ball_volume
-
     body = zonal_body(4, 12, {4: 0.05})
     raw = radon_of_power(body, normalize=False)
     for ti in (0.0, 0.6):

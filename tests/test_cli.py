@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ibodylab
+from ibodylab import cli
 from ibodylab.cli import main
 
 # `python -m ibodylab` in a child process finds the package under test
@@ -219,6 +220,43 @@ def test_mistyped_config_value_is_exit_2(tmp_path, capsys, command, values):
     assert code == 2
     assert err.startswith("error:")
     assert repr(next(iter(values))) in err
+
+
+@pytest.mark.parametrize("argv,config,key", [
+    (["multiplier-bound", "--n-list", ","], None, "n_list"),
+    (["multiplier-bound", "--corpus-size", "0"], None, "corpus_size"),
+    (["ellipsoid-check", "--axes", "1,1,nan"], None, "axes"),
+    (["eigen-check", "--dims", ","], None, "dims"),
+    (["radon-oracle", "--trials", "0"], None, "trials"),
+    (["iterate", "--alpha", "nan"], None, "alpha"),
+    (["cap-scaling", "--widths", "0.1,nan"], None, "widths"),
+    (["iterate"], '{"alpha": NaN}', "alpha"),
+], ids=["n-list-empty", "corpus-size-0", "axes-nan", "dims-empty", "trials-0",
+        "alpha-nan", "widths-nan", "config-alpha-nan"])
+def test_empty_non_finite_or_zero_count_inputs_are_exit_2(argv, config, key, tmp_path, capfd):
+    # flags and JSON config go through the same check (json.loads accepts
+    # NaN); capfd also sees what native code prints
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    code, out, err = run_cli(argv, capfd)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert repr(key) in err
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_config_file_of_every_default_resolves_like_no_config(command, tmp_path):
+    # every default passes the check of its own option kind
+    path = tmp_path / "defaults.json"
+    path.write_text(json.dumps({key: default for key, _, default, _
+                                in cli.COMMANDS[command][2] + cli._COMMON}))
+    parser = cli.build_parser()
+    with_file = cli._resolve_config(parser.parse_args([command, "--config", str(path)]))
+    without = cli._resolve_config(parser.parse_args([command]))
+    assert json.dumps(with_file, sort_keys=True) == json.dumps(without, sort_keys=True)
 
 
 def test_bad_axes_is_exit_2(tmp_path, capsys):

@@ -108,3 +108,37 @@ def test_package_exports_no_submodules():
     exported = {name: getattr(ibodylab, name) for name in ibodylab.__all__}
     assert not [name for name, value in exported.items() if isinstance(value, ModuleType)]
     assert {"S2Function", "ZonalProfile", "sup_norm", "run_iteration"} <= set(exported)
+
+
+# Every public name, audited: a name joins this set only with a caller in
+# the package, the command line, the demos or the benchmark.
+SURFACE = {
+    # quadrature, zonal and S^2 representations
+    "JacobiRule", "S2Grid", "gauss_jacobi_rule", "s2_grid",
+    "ZonalProfile", "default_rule", "sphere_exponent", "subsphere_rule",
+    "zonal_basis_matrix",
+    "S2Function", "analyze_s2", "default_s2_grid", "eval_s2_at_points",
+    "sh_degrees", "sh_index", "synthesize_s2",
+    # norms and multipliers
+    "apply_multiplier", "approx_decay_norm", "c2_norm", "cutoff_profile",
+    "derivative_sup_norms", "l2_norm", "smooth_cutoff", "sup_norm",
+    # the Radon transform
+    "SmoothingGainResult", "radon_coefficient", "radon_geometric_s2",
+    "radon_geometric_zonal", "radon_multiplier", "radon_spectral",
+    "smoothing_gain_experiment",
+    # bodies and the operator
+    "PositivityError", "StarBody", "apply_linear_map", "ball_body",
+    "ellipsoid_body", "ellipsoid_intersection_closed_form",
+    "intersection_body", "radon_of_power", "section_volume", "sphere_area",
+    # the iteration and its experiments
+    "CapScalingResult", "DivergenceError", "IterationOptions",
+    "IterationReport", "StepRecord", "ball_distance_proxies",
+    "cap_scaling_exponents", "fit_degree2_correction", "iterate_step",
+    "run_iteration",
+    "make_rng",
+}
+
+
+def test_package_exports_exactly_the_audited_surface():
+    assert len(SURFACE) == 52
+    assert set(ibodylab.__all__) == SURFACE

@@ -19,12 +19,11 @@ from ibodylab import (
     ellipsoid_body,
     fit_degree2_correction,
     iterate_step,
-    linearized_spectrum,
-    quadratic_form_profile,
+    radon_multiplier,
     run_iteration,
     sup_norm,
 )
-from helpers import random_even_s2, random_even_zonal, s2_body, zonal_body
+from helpers import quadratic_form_profile, random_even_s2, random_even_zonal, s2_body, zonal_body
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +74,7 @@ def test_fit_rejects_nonzero_mean():
 
 def test_linearized_spectrum_values():
     for d in (3, 4, 7):
-        mu = linearized_spectrum(d, 12)
+        mu = (d - 1.0) * radon_multiplier(d, 12)
         assert mu[0] == pytest.approx(d - 1.0, abs=1e-15)
         assert mu[2] == pytest.approx(-1.0, abs=1e-15)
         assert mu[4] == pytest.approx(3.0 / (d + 1), abs=1e-15)
@@ -183,7 +182,7 @@ def test_run_matches_linear_oracle():
     # scaled by its multiplier, h2 removed, independently recomputed here
     d = 3
     rep = run_iteration(_mix_body(d), IterationOptions(max_steps=10))
-    mu = np.abs(linearized_spectrum(d, 16))
+    mu = np.abs((d - 1.0) * radon_multiplier(d, 16))
     mu[2] = 0.0  # killed by the correction
     c = _mix_body(d).profile.coeffs.copy()
     c[0] = 0.0

@@ -7,13 +7,12 @@ from scipy.special import roots_jacobi
 
 from ibodylab import (
     JacobiRule,
-    even_moment,
     gauss_jacobi_rule,
-    integrate,
     s2_grid,
     sphere_exponent,
     zonal_basis_matrix,
 )
+from helpers import even_moment
 
 
 def test_sphere_exponent_value():
@@ -149,21 +148,6 @@ def test_rules_are_cached_and_frozen():
         a.nodes[0] = 0.5
 
 
-def test_integrate_shape_mismatch():
-    r = gauss_jacobi_rule(3, 0.0, 5)
-    with pytest.raises(ValueError):
-        integrate(np.ones(4), r)
-    g = s2_grid(4)
-    with pytest.raises(ValueError):
-        integrate(np.ones((2, 2)), g)
-
-
-def test_integrate_matches_dot_product():
-    r = gauss_jacobi_rule(3, 0.0, 9)
-    vals = np.cos(r.nodes)
-    assert integrate(vals, r) == float(vals @ r.weights)
-
-
 class TestS2Grid:
     def test_shapes_and_exact_degree(self):
         g = s2_grid(6)
@@ -182,7 +166,7 @@ class TestS2Grid:
     def test_height_squared(self):
         g = s2_grid(8)
         x3 = g.points()[..., 2]
-        assert integrate(x3**2, g) == pytest.approx(1.0 / 3.0, abs=1e-13)
+        assert float((x3**2 * g.weights).sum()) == pytest.approx(1.0 / 3.0, abs=1e-13)
 
     def test_legendre_orthogonality(self):
         # P2(x3) and P4(x3) are orthogonal over the sphere; written out
@@ -191,14 +175,14 @@ class TestS2Grid:
         t = g.points()[..., 2]
         p2 = 0.5 * (3 * t**2 - 1)
         p4 = 0.125 * (35 * t**4 - 30 * t**2 + 3)
-        assert abs(integrate(p2 * p4, g)) <= 1e-12
+        assert abs(float((p2 * p4 * g.weights).sum())) <= 1e-12
 
     def test_smooth_function_against_gauss_legendre(self):
         # exp(x3) is azimuthally symmetric, so the sphere average reduces to
         # a 1d integral handled by numpy's own Gauss-Legendre nodes
         g = s2_grid(20)
         x3 = g.points()[..., 2]
-        got = integrate(np.exp(x3), g)
+        got = float((np.exp(x3) * g.weights).sum())
         nodes, weights = np.polynomial.legendre.leggauss(40)
         want = float(weights @ np.exp(nodes)) / 2.0
         assert got == pytest.approx(want, abs=1e-14)

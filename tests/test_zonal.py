@@ -7,9 +7,7 @@ from ibodylab import (
     ZonalProfile,
     default_rule,
     gauss_jacobi_rule,
-    integrate,
     sphere_exponent,
-    zonal_basis_eval,
     zonal_basis_matrix,
 )
 from helpers import random_even_zonal
@@ -18,7 +16,7 @@ from helpers import random_even_zonal
 def test_degree_zero_is_constant_one():
     t = np.linspace(-1, 1, 17)
     for d in (3, 4, 7):
-        assert np.array_equal(zonal_basis_eval(d, 0, t), np.ones_like(t))
+        assert np.array_equal(zonal_basis_matrix(d, 0, t)[0], np.ones_like(t))
 
 
 def test_degree_two_closed_form_d3():
@@ -26,14 +24,14 @@ def test_degree_two_closed_form_d3():
     # measure and positive at t = 1
     t = np.linspace(-1, 1, 101)
     want = 0.5 * np.sqrt(5.0) * (3 * t**2 - 1)
-    got = zonal_basis_eval(3, 2, t)
+    got = zonal_basis_matrix(3, 2, t)[2]
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_value_at_north_pole_d3():
     # for d = 3 the basis value at t = 1 is sqrt(2k + 1)
-    assert zonal_basis_eval(3, 2, 1.0) == pytest.approx(np.sqrt(5.0), abs=1e-13)
-    assert zonal_basis_eval(3, 8, 1.0) == pytest.approx(np.sqrt(17.0), abs=1e-12)
+    assert zonal_basis_matrix(3, 2, 1.0)[2, 0] == pytest.approx(np.sqrt(5.0), abs=1e-13)
+    assert zonal_basis_matrix(3, 8, 1.0)[8, 0] == pytest.approx(np.sqrt(17.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 7])
@@ -43,13 +41,6 @@ def test_orthonormality(d):
     basis = zonal_basis_matrix(d, kmax, rule.nodes)
     gram = (basis * rule.weights) @ basis.T
     assert np.max(np.abs(gram - np.eye(kmax + 1))) <= 1e-11
-
-
-def test_basis_matrix_matches_single_eval():
-    rule = default_rule(4, 10)
-    mat = zonal_basis_matrix(4, 10, rule.nodes)
-    for k in (0, 3, 10):
-        assert np.array_equal(mat[k], np.atleast_1d(zonal_basis_eval(4, k, rule.nodes)))
 
 
 def test_constant_profile_transform():
@@ -62,7 +53,7 @@ def test_constant_profile_transform():
 def test_pure_mode_round_trip():
     for d, k in [(3, 4), (5, 6)]:
         rule = default_rule(d, 12)
-        vals = np.atleast_1d(zonal_basis_eval(d, k, rule.nodes))
+        vals = zonal_basis_matrix(d, k, rule.nodes)[k]
         prof = ZonalProfile.from_values(d, 12, vals, rule)
         want = np.zeros(13)
         want[k] = 1.0
@@ -78,7 +69,7 @@ def test_random_round_trip(d):
 
 def test_parseval(d=5):
     f = random_even_zonal(d, 32, seed=3)
-    sq = integrate(f.values**2, f.rule)
+    sq = float(f.values**2 @ f.rule.weights)
     assert sq == pytest.approx(float(f.coeffs @ f.coeffs), abs=1e-10)
 
 
