@@ -3,20 +3,22 @@
 Functions here accept either representation through the interface that
 ZonalProfile and S2Function share (coeffs, degrees, with_coeffs, energies,
 refined_set, refined_values); only the sup-norm scan and the derivative
-norms, whose algorithms differ, look at which one they got.  Sup norms
-are measured on the profile's refined evaluation set (4x finer than its
-storage rule or grid) plus a local quadratic polish around the best node.
-Second differentials refer to the degree-0 homogeneous extension
-f(x/|x|) of a function on the sphere: its ambient Hessian at a surface
-point has the tangential covariant Hessian as one block, minus the surface
-gradient as the mixed radial-tangential entries, and zero radially.
+norms, whose algorithms differ, look at which one they got.  Both are
+measured on the profile's refined evaluation set (REFINE = 4 times finer
+than its storage rule or grid); sup norms add a quadratic polish around the
+best node.  Derivatives are exact up to roundoff, never finite differences,
+and refer to the degree-0 homogeneous extension f(x/|x|): its ambient
+Hessian at a surface point has the covariant Hessian as tangential block,
+minus the surface gradient as the radial-tangential entries, and zero
+radially; `_ambient_hessian_norm` assembles it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .sphharm import S2Function, eval_s2_at_points, tangent_frame
+from .quadrature import S2Grid
+from .sphharm import _POLES, S2Function, _grid_tables, _order_slots, tangent_frame
 from .zonal import ZonalProfile
 
 
@@ -102,18 +104,18 @@ def _polish_max(ts: np.ndarray, vals: np.ndarray, evaluator) -> float:
     return best
 
 
-def sup_norm(f, refine: int = 4) -> float:
+def sup_norm(f) -> float:
     """Sup of |f| on the refined evaluation set plus a quadratic polish."""
-    vals = f.refined_values(refine)
+    vals = f.refined_values()
     if isinstance(f, ZonalProfile):
-        ts = f.refined_set(refine)
+        ts = f.refined_set()
         up = _polish_max(ts, vals, f.eval_at)
         dn = _polish_max(ts, -vals, lambda t: -f.eval_at(t))
         return max(up, dn)
     best = float(np.abs(vals).max())
     # polish along the colatitude scan through the best grid node (the
     # poles, which close the refined set, are not grid nodes)
-    fine = f.refined_grid(refine)
+    fine = f.refined_grid()
     grid_vals = vals[:fine.weights.size].reshape(fine.weights.shape)
     i, j = np.unravel_index(np.argmax(np.abs(grid_vals)), grid_vals.shape)
     sgn = float(np.sign(grid_vals[i, j])) or 1.0
@@ -130,23 +132,22 @@ def sup_norm(f, refine: int = 4) -> float:
 # ---------------------------------------------------------------------------
 # polynomial-approximation norm
 
-def approx_decay_norm(f, alpha: float, n_max: int | None = None) -> float:
+def approx_decay_norm(f, alpha: float) -> float:
     """Least M with sup|f| <= M and ||f - (truncation at degree n)||_2
-    <= M n^(-alpha) for 1 <= n <= n_max.
+    <= M n^(-alpha) for every n >= 1.
 
     The degree-n L^2 truncation is the best polynomial approximant, so the
-    tails are tail_n = sqrt(sum of energies above degree n).
+    tails are tail_n = sqrt(sum of energies above degree n); they vanish
+    from the band limit on.
     """
-    return max(sup_norm(f), _decay_tail(f, alpha, n_max))
+    return max(sup_norm(f), _decay_tail(f, alpha))
 
 
-def _decay_tail(f, alpha: float, n_max: int | None = None) -> float:
-    """max over 1 <= n <= n_max of n^alpha tail_n (0 with no such n)."""
-    if n_max is None:
-        n_max = f.band_limit
+def _decay_tail(f, alpha: float) -> float:
+    """max over 1 <= n <= band limit of n^alpha tail_n (0 with no such n)."""
     e = f.energies()
     tails_sq = np.concatenate((np.cumsum(e[::-1])[::-1], [0.0]))[1:]  # tail after n, n=0..
-    ns = np.arange(1, min(n_max, f.band_limit) + 1, dtype=float)
+    ns = np.arange(1, f.band_limit + 1, dtype=float)
     tail_terms = ns**alpha * np.sqrt(np.maximum(tails_sq[1:len(ns) + 1], 0.0))
     return float(tail_terms.max()) if tail_terms.size else 0.0
 
@@ -154,54 +155,65 @@ def _decay_tail(f, alpha: float, n_max: int | None = None) -> float:
 # ---------------------------------------------------------------------------
 # derivative sup norms (first and second differentials of the extension)
 
-def _zonal_hessian_parts(f: ZonalProfile, t: np.ndarray, method: str, step: float):
-    """(|grad|, operator norm of ambient Hessian) at zonal points t."""
+def _ambient_hessian_norm(g1, g2, h11, h12, h22) -> np.ndarray:
+    """Largest |eigenvalue| of the ambient Hessian of f(x/|x|) at unit points,
+    from the surface gradient (g1, g2) and covariant Hessian [[h11, h12],
+    [h12, h22]] in an orthonormal tangent frame (radial row: 0, -g1, -g2)."""
+    g1, g2, h11, h12, h22 = np.broadcast_arrays(g1, g2, h11, h12, h22)
+    hess = np.stack([
+        np.stack([np.zeros_like(g1), -g1, -g2], axis=-1),
+        np.stack([-g1, h11, h12], axis=-1),
+        np.stack([-g2, h12, h22], axis=-1),
+    ], axis=-2)
+    return np.abs(np.linalg.eigvalsh(hess)).max(axis=-1)
+
+
+def _zonal_hessian_parts(f: ZonalProfile, t: np.ndarray):
+    """(|grad|, operator norm of ambient Hessian) at zonal points t, from the
+    differentiated basis recurrence; the d - 2 azimuthal directions share
+    the eigenvalue cot(theta) f_theta = -t f'."""
     t = np.asarray(t, dtype=float)
-    if method == "analytic":
-        _, fp, fpp = f.derivatives_at(t)
-        s2 = 1.0 - t * t
-        f_th = -np.sqrt(np.clip(s2, 0.0, None)) * fp          # d/dtheta
-        f_thth = -t * fp + s2 * fpp                            # d2/dtheta2
-        azim = -t * fp                                         # cot(theta) * f_th
-    elif method == "fd":
-        th = np.arccos(np.clip(t, -1.0, 1.0))
-        fv = lambda a: f.eval_at(np.cos(a))
-        f_th = (fv(th + step) - fv(th - step)) / (2.0 * step)
-        f_thth = (fv(th + step) - 2.0 * fv(th) + fv(th - step)) / step**2
-        # away from the poles cot(theta) f_th is smooth; fall back to the
-        # meridian second derivative in the polar limit
-        s = np.sin(th)
-        azim = np.where(s > 1e-6, np.cos(th) / np.maximum(s, 1e-300) * f_th, f_thth)
-    else:
-        raise ValueError(f"unknown derivative method {method!r}")
-    # 2x2 block [[0, -f_th], [-f_th, f_thth]] plus (d-2) azimuthal directions
-    block = 0.5 * np.abs(f_thth) + np.sqrt(0.25 * f_thth**2 + f_th**2)
-    return np.abs(f_th), np.maximum(block, np.abs(azim))
+    _, fp, fpp = f.derivatives_at(t)
+    s2 = 1.0 - t * t
+    f_th = -np.sqrt(np.clip(s2, 0.0, None)) * fp          # d/dtheta
+    f_thth = -t * fp + s2 * fpp                            # d2/dtheta2
+    return np.abs(f_th), _ambient_hessian_norm(f_th, 0.0, f_thth, 0.0, -t * fp)
 
 
-def _s2_fd_parts(f: S2Function, pts: np.ndarray, step: float):
-    """FD gradient norm and Hessian operator norm of f(x/|x|) at unit points."""
-    pts = pts.reshape(-1, 3)
-    n = pts.shape[0]
-    ev = lambda p: eval_s2_at_points(f.coeffs, p / np.linalg.norm(p, axis=-1, keepdims=True))
-    eye = np.eye(3)
-    plus = np.stack([ev(pts + step * eye[i]) for i in range(3)])
-    minus = np.stack([ev(pts - step * eye[i]) for i in range(3)])
-    center = ev(pts)
-    grad = (plus - minus) / (2.0 * step)
-    hess = np.zeros((n, 3, 3))
-    for i in range(3):
-        hess[:, i, i] = (plus[i] - 2.0 * center + minus[i]) / step**2
-    for i in range(3):
-        for j in range(i + 1, 3):
-            pp = ev(pts + step * (eye[i] + eye[j]))
-            pm = ev(pts + step * (eye[i] - eye[j]))
-            mp = ev(pts - step * (eye[i] - eye[j]))
-            mm = ev(pts - step * (eye[i] + eye[j]))
-            hess[:, i, j] = hess[:, j, i] = (pp - pm - mp + mm) / (4.0 * step**2)
-    gnorm = np.linalg.norm(grad, axis=0)
-    hnorm = np.abs(np.linalg.eigvalsh(hess)).max(axis=1)
-    return gnorm, hnorm
+def _s2_grid_parts(f: S2Function, grid: S2Grid):
+    """(|grad|, operator norm of ambient Hessian) on a product grid, exact.
+
+    With x = cos theta and s = sin theta > 0 (a product grid holds no pole),
+    dQ_lm/dtheta = (l x Q_lm - r_lm Q_{l-1,m}) / s, r_lm^2 = (2l+1)(l^2-m^2)
+    / (2l-1), and Legendre's equation Q'' = -(x/s) Q' - (l(l+1) - m^2/s^2) Q
+    give the colatitude derivatives from the per-order blocks of synthesis;
+    d/dphi multiplies order m by m and swaps cosine and sine.
+    """
+    L = f.band_limit
+    q, cos_t, sin_t = _grid_tables(L, grid)
+    m = np.arange(L + 1)
+    x = grid.x[:, None]
+    s = np.sqrt(1.0 - x * x)
+    # [cosine, sine] x colatitude x order: sums of c Q, c dQ/dtheta, c l(l+1) Q
+    a, b, c = np.zeros((3, 2, grid.n_theta, L + 1))
+    for k, qm in enumerate(q):
+        cos_i, sin_i, scale = _order_slots(L, k)
+        cm = scale * f.coeffs[np.stack((cos_i, sin_i))]
+        l = np.arange(k, L + 1.0)
+        r = np.sqrt((2.0 * l[1:] + 1.0) * (l[1:] ** 2 - k * k) / (2.0 * l[1:] - 1.0))
+        a[:, :, k] = cm @ qm
+        b[:, :, k] = (cm * l) @ qm * grid.x - (cm[:, 1:] * r) @ qm[:-1]
+        c[:, :, k] = (cm * l * (l + 1.0)) @ qm
+    b /= s
+    c = -(x / s) * b - c + (m / s) ** 2 * a               # Legendre's equation
+    lon_sum = lambda p: p[0] @ cos_t + p[1] @ sin_t
+    d_phi = lambda p: np.stack((m * p[1], -m * p[0]))
+    f_t, f_tt = lon_sum(b), lon_sum(c)
+    f_p, f_tp, f_pp = lon_sum(d_phi(a)), lon_sum(d_phi(b)), lon_sum(d_phi(d_phi(a)))
+    g2 = f_p / s
+    h = _ambient_hessian_norm(f_t, g2, f_tt, (f_tp - x * g2) / s,
+                              f_pp / (s * s) + (x / s) * f_t)
+    return np.hypot(f_t, g2), h
 
 
 CIRCLE_BLOCK = 1024  # points per batch of great circles in _s2_spectral_parts
@@ -212,15 +224,15 @@ def _s2_spectral_parts(f: S2Function, pts: np.ndarray):
 
     Restricted to a great circle through x a band-L function is a degree-L
     trigonometric polynomial, so derivatives at the point are exact up to
-    roundoff.  Used as the independent cross-check of the FD path.  Points
+    roundoff.  Serves the two poles of the refined set, where the grid path
+    has no frame, and is the independent cross-check of that path.  Points
     go CIRCLE_BLOCK at a time to bound the memory of the circles.
     """
     M = 2 * f.band_limit + 9
     s = 2.0 * np.pi * np.arange(M) / M
     cs, sn = np.cos(s)[:, None, None], np.sin(s)[:, None, None]
     m = np.arange(M // 2 + 1)[1:, None]
-    gnorm = np.empty(len(pts))
-    hnorm = np.empty(len(pts))
+    gnorm, hnorm = np.empty((2, len(pts)))
 
     def circle_derivs(x, w):
         vals = f.eval_at_points(cs * x + sn * w)           # (M, n)
@@ -234,44 +246,31 @@ def _s2_spectral_parts(f: S2Function, pts: np.ndarray):
         dv, hvv = circle_derivs(x, v)
         _, hdiag = circle_derivs(x, (u + v) / np.sqrt(2.0))
         huv = hdiag - 0.5 * (huu + hvv)
-        zero = np.zeros_like(du)
-        hess = np.stack([
-            np.stack([zero, -du, -dv], axis=-1),
-            np.stack([-du, huu, huv], axis=-1),
-            np.stack([-dv, huv, hvv], axis=-1),
-        ], axis=-2)
         gnorm[lo:lo + CIRCLE_BLOCK] = np.hypot(du, dv)
-        hnorm[lo:lo + CIRCLE_BLOCK] = np.abs(np.linalg.eigvalsh(hess)).max(axis=1)
+        hnorm[lo:lo + CIRCLE_BLOCK] = _ambient_hessian_norm(du, dv, huu, huv, hvv)
     return gnorm, hnorm
 
 
-def derivative_sup_norms(f, method: str | None = None, refine: int = 4,
-                         step: float = 1e-4) -> tuple[float, float]:
-    """(sup |Df|, sup |D^2 f|) of the homogeneous extension of f.
+def derivative_sup_norms(f) -> tuple[float, float]:
+    """(sup |Df|, sup |D^2 f|) of the homogeneous extension of f, exact up
+    to roundoff on the refined set.
 
-    Zonal profiles default to analytic differentiation of the basis
-    recurrence; S^2 functions default to centered finite differences of the
-    extension (`method="spectral"` runs the exact great-circle path, which
-    is slower).
+    Zonal profiles differentiate the basis recurrence and polish the best
+    node; S^2 functions differentiate the synthesis on the refined grid,
+    and the poles go through the great-circle path.
     """
-    pts = f.refined_set(refine)
     if isinstance(f, ZonalProfile):
-        method = method or "analytic"
-        g, h = _zonal_hessian_parts(f, pts, method, step)
-        g_at = lambda t: float(_zonal_hessian_parts(f, np.atleast_1d(t), method, step)[0][0])
-        h_at = lambda t: float(_zonal_hessian_parts(f, np.atleast_1d(t), method, step)[1][0])
+        pts = f.refined_set()
+        g, h = _zonal_hessian_parts(f, pts)
+        g_at = lambda t: float(_zonal_hessian_parts(f, np.atleast_1d(t))[0][0])
+        h_at = lambda t: float(_zonal_hessian_parts(f, np.atleast_1d(t))[1][0])
         return _polish_max(pts, g, g_at), _polish_max(pts, h, h_at)
-    method = method or "fd"
-    if method == "fd":
-        g, h = _s2_fd_parts(f, pts, step)
-    elif method == "spectral":
-        g, h = _s2_spectral_parts(f, pts)
-    else:
-        raise ValueError(f"unknown derivative method {method!r}")
-    return float(g.max()), float(h.max())
+    g, h = _s2_grid_parts(f, f.refined_grid())
+    gp, hp = _s2_spectral_parts(f, _POLES)
+    return float(max(g.max(), gp.max())), float(max(h.max(), hp.max()))
 
 
-def c2_norm(f, **kw) -> float:
+def c2_norm(f) -> float:
     """C^2 proxy: max of sup |f|, sup |Df|, sup |D^2 f|."""
-    d1, d2 = derivative_sup_norms(f, **kw)
+    d1, d2 = derivative_sup_norms(f)
     return max(sup_norm(f), d1, d2)

@@ -70,14 +70,16 @@ def _parse_ints(text: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated integer list, got {text!r}") from exc
 
 
 def _parse_floats(text: str) -> list[float]:
     try:
         return [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated number list, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated number list, got {text!r}") from exc
 
 
 def _parse_perturb(text: str) -> dict[int, float]:
@@ -153,6 +155,7 @@ def _non_empty_list_of(test):
 _KINDS = {
     "int": (int, _is_int, "an integer"),
     "count": (int, lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    "dim": (int, lambda v: _is_int(v) and v >= 3, "an integer >= 3"),
     "float": (float, _is_finite, "a finite number"),
     "ints": (_parse_ints, _non_empty_list_of(_is_int), "a non-empty list of integers"),
     "floats": (_parse_floats, _non_empty_list_of(_is_finite),
@@ -267,8 +270,6 @@ def _random_even_zonal(d: int, band_limit: int, rng) -> ZonalProfile:
 def cmd_radon_oracle(cfg: dict) -> int:
     d = cfg["dim"]
     band_limit = cfg["band_limit"]
-    if d < 3:
-        raise ConfigError("dim must be >= 3")
     if band_limit < 4:
         raise ConfigError("band_limit must be >= 4")
     rng = make_rng(cfg["seed"])
@@ -319,8 +320,6 @@ def _start_body(cfg: dict) -> StarBody:
     band_limit = cfg["band_limit"]
     rep = cfg["representation"]
     eps = cfg["epsilon"]
-    if d < 3:
-        raise ConfigError("dim must be >= 3")
     if band_limit < 4:
         raise ConfigError("band_limit must be >= 4")
     if not 0.0 < eps:
@@ -467,8 +466,6 @@ def cmd_multiplier_bound(cfg: dict) -> int:
 
 def cmd_smoothing_gain(cfg: dict) -> int:
     d = cfg["dim"]
-    if d < 3:
-        raise ConfigError("dim must be >= 3")
     try:
         res = smoothing_gain_experiment(
             d, decay=cfg["decay"], band_limit=cfg["band_limit"])
@@ -490,8 +487,6 @@ def cmd_smoothing_gain(cfg: dict) -> int:
 
 def cmd_cap_scaling(cfg: dict) -> int:
     d = cfg["dim"]
-    if d < 3:
-        raise ConfigError("dim must be >= 3")
     widths = cfg["widths"]
     try:
         res = cap_scaling_exponents(
@@ -534,7 +529,7 @@ COMMANDS = {
         ("k_max", "int", 20, "largest degree"),
     ]),
     "radon-oracle": (cmd_radon_oracle, "dual-route transform agreement on random inputs", [
-        ("dim", "int", 3, None),
+        ("dim", "dim", 3, None),
         ("band_limit", "int", 24, None),
         ("trials", "count", 3, None),
     ]),
@@ -545,7 +540,7 @@ COMMANDS = {
             ("method", ("spectral", "geometric"), "spectral", None),
         ]),
     "iterate": (cmd_iterate, "run the corrected iteration", [
-        ("dim", "int", 3, None),
+        ("dim", "dim", 3, None),
         ("band_limit", "int", 16, None),
         ("epsilon", "float", 1e-3, "L2 size of the starting perturbation"),
         ("steps", "count", 10, "maximum number of steps"),
@@ -560,19 +555,19 @@ COMMANDS = {
     ]),
     "multiplier-bound": (
         cmd_multiplier_bound, "sup-norm ratios of the smooth cutoff over a corpus", [
-            ("dim", "int", 3, None),
+            ("dim", "dim", 3, None),
             ("band_limit", "int", 300, None),
             ("n_list", "ints", [4, 8, 16, 32, 64, 128, 256], "comma list of cutoff degrees"),
             ("corpus_size", "count", 50, None),
         ]),
     "smoothing-gain": (cmd_smoothing_gain, "tail-energy transfer slope of the transform", [
-        ("dim", "int", 3, None),
+        ("dim", "dim", 3, None),
         ("decay", "float", 2.0, "coefficient decay exponent"),
         ("band_limit", "int", 4096, None),
     ]),
     "cap-scaling": (
         cmd_cap_scaling, "sup and gradient norms of cap bumps against L2 size", [
-            ("dim", "int", 3, None),
+            ("dim", "dim", 3, None),
             ("widths", "floats", None, "comma list of cap widths"),
             ("resolution", "int", 4096, None),
         ]),

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import _decay_tail, c2_norm, l2_norm, sup_norm
+from .analysis import _ambient_hessian_norm, _decay_tail, c2_norm, l2_norm, sup_norm
 from .bodies import StarBody, apply_linear_map, radon_of_power
 from .zonal import ZonalProfile
 
@@ -109,7 +109,7 @@ class IterationOptions:
     kill_h2 applies the degree-2 correction map before each power step;
     raw_power_mode runs the bare recursion instead (no correction, no
     mean rescale).  track_decay_alpha and track_c2 add the corresponding
-    norms to every step record (slower; off by default).
+    norms to every step record (off by default).
     """
     kill_h2: bool = True
     raw_power_mode: bool = False
@@ -488,12 +488,9 @@ def cap_scaling_exponents(d: int, widths=None, resolution: int = 4096) -> CapSca
         b[inside], bp[inside], bpp[inside] = _bump_parts(u[inside])
         f_t = bp / w
         f_tt = bpp / (w * w)
-        block = 0.5 * np.abs(f_tt) + np.sqrt(0.25 * f_tt**2 + f_t**2)
-        azim = np.empty_like(theta)
-        azim[0] = abs(f_tt[0])
-        azim[1:] = np.abs(f_t[1:] / np.tan(theta[1:]))
-        d2 = max(block.max(), azim.max())
-        amp = 1.0 / d2
+        # cot(theta) f_theta in the azimuthal directions, f_thetatheta at the pole
+        azim = np.concatenate((f_tt[:1], f_t[1:] / np.tan(theta[1:])))
+        amp = 1.0 / _ambient_hessian_norm(f_t, 0.0, f_tt, 0.0, azim).max()
         density = area_const * np.sin(theta) ** (d - 2)
         l2s.append(amp * math.sqrt(float(np.trapezoid(b * b * density, theta))))
         sups.append(amp * float(b.max()))

@@ -32,6 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
+REFINE = 4  # refined_set is REFINE times finer than the storage rule or grid
+
 
 @dataclass(frozen=True, eq=False)
 class JacobiRule:

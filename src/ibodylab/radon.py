@@ -53,33 +53,31 @@ def radon_spectral(f):
     return f.with_coeffs(f.coeffs * radon_multiplier(f.dim, f.band_limit)[f.degrees])
 
 
-def radon_geometric_zonal(f: ZonalProfile, subsphere_order: int | None = None) -> ZonalProfile:
+def radon_geometric_zonal(f: ZonalProfile) -> ZonalProfile:
     """Geometric route for zonal profiles.
 
     For output direction at height t the subsphere average reduces to a
     one-dimensional integral of f(s sqrt(1 - t^2)) against the normalized
     weight (1 - s^2)^((d-4)/2); for d = 3 that weight is the arcsine density
-    of a great-circle coordinate.
+    of a great-circle coordinate.  The subsphere rule has order K + 8, exact
+    for band-K integrands with margin.
     """
     d = f.dim
-    if subsphere_order is None:
-        subsphere_order = f.band_limit + 8
-    sub = subsphere_rule(d, subsphere_order)
+    sub = subsphere_rule(d, f.band_limit + 8)
     radial = np.sqrt(np.clip(1.0 - f.rule.nodes**2, 0.0, None))
     args = np.outer(radial, sub.nodes)
     out_vals = f.eval_at(args.ravel()).reshape(args.shape) @ sub.weights
     return ZonalProfile.from_values(d, f.band_limit, out_vals, f.rule)
 
 
-def radon_geometric_s2(f: S2Function, circle_points: int | None = None) -> S2Function:
+def radon_geometric_s2(f: S2Function) -> S2Function:
     """Geometric route on S^2: trapezoid average over great circles.
 
     A band-L function restricted to a circle is a trigonometric polynomial
     of degree L, so M >= L + 1 equally spaced samples average it exactly;
-    the default M = 2L + 9 leaves margin.
+    M = 2L + 9 leaves margin.
     """
-    if circle_points is None:
-        circle_points = 2 * f.band_limit + 9
+    circle_points = 2 * f.band_limit + 9
     tau = 2.0 * np.pi * np.arange(circle_points) / circle_points
     cs, sn = np.cos(tau), np.sin(tau)
     dirs = f.grid.points().reshape(-1, 3)

@@ -20,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .quadrature import S2Grid, s2_grid
+from .quadrature import REFINE, S2Grid, s2_grid
 
 _CHUNK = 16384  # points per block in eval_s2_at_points
 
@@ -222,16 +222,16 @@ class S2Function:
         return np.bincount(self.degrees, weights=self.coeffs**2,
                            minlength=self.band_limit + 1)
 
-    def refined_grid(self, refine: int = 4) -> S2Grid:
-        """Product grid `refine` times finer than the storage grid."""
-        return s2_grid(max(refine * (self.grid.n_theta - 1), 2 * self.band_limit + 1))
+    def refined_grid(self) -> S2Grid:
+        """Product grid REFINE times finer than the storage grid."""
+        return s2_grid(max(REFINE * (self.grid.n_theta - 1), 2 * self.band_limit + 1))
 
-    def refined_set(self, refine: int = 4) -> np.ndarray:
+    def refined_set(self) -> np.ndarray:
         """Unit points of the dense evaluation set, shape (n, 3): the
         refined grid in row-major order, then the north and south poles."""
-        return np.concatenate((self.refined_grid(refine).points().reshape(-1, 3), _POLES))
+        return np.concatenate((self.refined_grid().points().reshape(-1, 3), _POLES))
 
-    def refined_values(self, refine: int = 4) -> np.ndarray:
+    def refined_values(self) -> np.ndarray:
         """f on `refined_set`; the grid part by synthesis, not point by point."""
-        grid_vals = synthesize_s2(self.coeffs, self.refined_grid(refine))
+        grid_vals = synthesize_s2(self.coeffs, self.refined_grid())
         return np.concatenate((grid_vals.ravel(), self.eval_at_points(_POLES)))

@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .quadrature import JacobiRule, gauss_jacobi_rule, recurrence_offdiag
+from .quadrature import REFINE, JacobiRule, gauss_jacobi_rule, recurrence_offdiag
 
 _CHUNK = 16384  # points per basis table in ZonalProfile.eval_at
 
@@ -164,16 +164,16 @@ class ZonalProfile:
         """Per-degree energies e_k = coeffs[k]^2."""
         return self.coeffs**2
 
-    def refined_set(self, refine: int = 4) -> np.ndarray:
-        """Heights of the dense evaluation set: the Gauss rule `refine`
+    def refined_set(self) -> np.ndarray:
+        """Heights of the dense evaluation set: the Gauss rule REFINE
         times finer than the storage rule, with the poles -1 and 1 added."""
         fine = gauss_jacobi_rule(self.dim, sphere_exponent(self.dim),
-                                 refine * self.rule.order)
+                                 REFINE * self.rule.order)
         return np.concatenate(([-1.0], fine.nodes, [1.0]))
 
-    def refined_values(self, refine: int = 4) -> np.ndarray:
+    def refined_values(self) -> np.ndarray:
         """f on `refined_set`."""
-        return self.eval_at(self.refined_set(refine))
+        return self.eval_at(self.refined_set())
 
 
 def _check_rule(d: int, band_limit: int, rule: JacobiRule) -> None:

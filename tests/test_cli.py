@@ -231,8 +231,9 @@ def test_mistyped_config_value_is_exit_2(tmp_path, capsys, command, values):
     (["iterate", "--alpha", "nan"], None, "alpha"),
     (["cap-scaling", "--widths", "0.1,nan"], None, "widths"),
     (["iterate"], '{"alpha": NaN}', "alpha"),
+    (["multiplier-bound", "--dim", "2"], None, "dim"),
 ], ids=["n-list-empty", "corpus-size-0", "axes-nan", "dims-empty", "trials-0",
-        "alpha-nan", "widths-nan", "config-alpha-nan"])
+        "alpha-nan", "widths-nan", "config-alpha-nan", "dim-2"])
 def test_empty_non_finite_or_zero_count_inputs_are_exit_2(argv, config, key, tmp_path, capfd):
     # flags and JSON config go through the same check (json.loads accepts
     # NaN); capfd also sees what native code prints
@@ -245,6 +246,20 @@ def test_empty_non_finite_or_zero_count_inputs_are_exit_2(argv, config, key, tmp
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert repr(key) in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["eigen-check", "--dims", "a,b"], "expected a comma-separated integer list, got 'a,b'"),
+    (["ellipsoid-check", "--axes", "1,x,2"],
+     "expected a comma-separated number list, got '1,x,2'"),
+], ids=["dims", "axes"])
+def test_unparsable_list_flag_keeps_its_message(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert message in err
+    assert "_parse" not in err
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))

@@ -1,5 +1,7 @@
 """The interface that ZonalProfile and S2Function share, and the package exports."""
 
+import dataclasses
+import inspect
 from types import ModuleType
 
 import numpy as np
@@ -142,3 +144,50 @@ SURFACE = {
 def test_package_exports_exactly_the_audited_surface():
     assert len(SURFACE) == 52
     assert set(ibodylab.__all__) == SURFACE
+
+
+# Every parameter with a default, audited: a new knob joins this set only with
+# a caller in the package, the command line, the demos or the benchmark that
+# sets it (`ball_distance_proxies(budget)` and `tail_indices` still have none).
+KNOBS = {
+    "ball_body(representation)",
+    "ellipsoid_body(band_limit)", "ellipsoid_body(representation)",
+    "ellipsoid_intersection_closed_form(band_limit)",
+    "ellipsoid_intersection_closed_form(representation)",
+    "intersection_body(method)",
+    "radon_of_power(method)", "radon_of_power(normalize)",
+    "ball_distance_proxies(budget)",
+    "cap_scaling_exponents(widths)", "cap_scaling_exponents(resolution)",
+    "smoothing_gain_experiment(decay)", "smoothing_gain_experiment(band_limit)",
+    "smoothing_gain_experiment(tail_indices)",
+    "S2Function.from_values(grid)", "S2Function.from_coeffs(grid)",
+    "ZonalProfile.from_values(rule)", "ZonalProfile.from_coeffs(rule)",
+    "IterationOptions.kill_h2", "IterationOptions.raw_power_mode",
+    "IterationOptions.max_steps", "IterationOptions.stop_tol",
+    "IterationOptions.method", "IterationOptions.track_decay_alpha",
+    "IterationOptions.track_c2",
+}
+
+
+def _defaulted(fn, owner: str) -> list[str]:
+    return [f"{owner}({p.name})" for p in inspect.signature(fn).parameters.values()
+            if p.default is not p.empty or p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
+
+
+def test_optional_parameters_are_exactly_the_audited_knobs():
+    # exported functions, the public methods of exported classes, and the
+    # fields of IterationOptions
+    found = []
+    for name in ibodylab.__all__:
+        obj = getattr(ibodylab, name)
+        if inspect.isfunction(obj):
+            found += _defaulted(obj, name)
+        elif inspect.isclass(obj):
+            for attr, raw in vars(obj).items():
+                fn = getattr(raw, "__func__", raw)
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    found += _defaulted(fn, f"{name}.{attr}")
+    found += [f"IterationOptions.{f.name}"
+              for f in dataclasses.fields(ibodylab.IterationOptions)]
+    assert len(KNOBS) == 25
+    assert sorted(found) == sorted(KNOBS)

@@ -259,6 +259,14 @@ def test_tracked_norms_stay_sane():
         assert rec.u_alpha is not None and np.isfinite(rec.u_alpha)
 
 
+def test_tracked_c2_on_s2():
+    opts = IterationOptions(max_steps=3, track_c2=True)
+    rep = run_iteration(s2_body(16, seed=12, scale=1e-2), opts)
+    assert len(rep.records) == 4
+    for rec in rep.records:
+        assert np.isfinite(rec.c2) and rec.c2 >= rec.max_radial
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         IterationOptions(max_steps=0)
