@@ -155,17 +155,27 @@ def _decay_tail(f, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # derivative sup norms (first and second differentials of the extension)
 
+HESSIAN_BLOCK = 65536  # points per eigvalsh batch in _ambient_hessian_norm
+
+
 def _ambient_hessian_norm(g1, g2, h11, h12, h22) -> np.ndarray:
     """Largest |eigenvalue| of the ambient Hessian of f(x/|x|) at unit points,
     from the surface gradient (g1, g2) and covariant Hessian [[h11, h12],
-    [h12, h22]] in an orthonormal tangent frame (radial row: 0, -g1, -g2)."""
-    g1, g2, h11, h12, h22 = np.broadcast_arrays(g1, g2, h11, h12, h22)
-    hess = np.stack([
-        np.stack([np.zeros_like(g1), -g1, -g2], axis=-1),
-        np.stack([-g1, h11, h12], axis=-1),
-        np.stack([-g2, h12, h22], axis=-1),
-    ], axis=-2)
-    return np.abs(np.linalg.eigvalsh(hess)).max(axis=-1)
+    [h12, h22]] in an orthonormal tangent frame (radial row: 0, -g1, -g2).
+    The 3x3 matrices are stacked about HESSIAN_BLOCK points (whole rows of
+    a grid) at a time, which bounds their memory."""
+    parts = np.broadcast_arrays(g1, g2, h11, h12, h22)
+    out = np.empty(parts[0].shape)
+    rows = max(1, HESSIAN_BLOCK // max(1, int(np.prod(out.shape[1:]))))
+    for lo in range(0, len(out), rows):
+        g1, g2, h11, h12, h22 = (p[lo:lo + rows] for p in parts)
+        hess = np.stack([
+            np.stack([np.zeros_like(g1), -g1, -g2], axis=-1),
+            np.stack([-g1, h11, h12], axis=-1),
+            np.stack([-g2, h12, h22], axis=-1),
+        ], axis=-2)
+        out[lo:lo + rows] = np.abs(np.linalg.eigvalsh(hess)).max(axis=-1)
+    return out
 
 
 def _zonal_hessian_parts(f: ZonalProfile, t: np.ndarray):

@@ -301,8 +301,8 @@ def run_iteration(body: StarBody, opts: IterationOptions) -> IterationReport:
     The report holds one record per state including the start (m = 0),
     the geometric mean of the last three step ratios, and whether the L2
     deviation was monotone after the first step.  A step that more than
-    doubles the L2 deviation raises DivergenceError with the partial
-    report attached.
+    doubles the L2 deviation, or makes it NaN, raises DivergenceError with
+    the partial report attached.
     """
     if not opts.raw_power_mode:
         body = _rescaled_to_mean_one(body)
@@ -334,7 +334,7 @@ def run_iteration(body: StarBody, opts: IterationOptions) -> IterationReport:
         prev_l2 = records[-1].l2
         cur, rec = iterate_step(cur, opts)
         records.append(replace(rec, m=m))
-        if rec.l2 > 2.0 * prev_l2 and prev_l2 > 0.0:
+        if not rec.l2 <= 2.0 * prev_l2 and prev_l2 > 0.0:
             report = close("diverged")
             raise DivergenceError(
                 f"L2 deviation grew from {prev_l2:.3e} to {rec.l2:.3e} "

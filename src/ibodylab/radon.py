@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphharm import S2Function, tangent_frame
+from .sphharm import S2Function, _grid_tables, _order_sums, tangent_frame
 from .zonal import ZonalProfile, subsphere_rule
 
 
@@ -75,17 +75,34 @@ def radon_geometric_s2(f: S2Function) -> S2Function:
 
     A band-L function restricted to a circle is a trigonometric polynomial
     of degree L, so M >= L + 1 equally spaced samples average it exactly;
-    M = 2L + 9 leaves margin.
+    M = 2L + 9 leaves margin.  The circle of the grid direction (theta_i,
+    phi_j) is the circle of (theta_i, 0) turned by phi_j about the z-axis:
+    its points keep their heights and their azimuths psi shift by phi_j.
+    So f is evaluated, order by order, only on the n_theta circles at
+    longitude 0 (separation of variables, Driscoll & Healy 1994): with the
+    per-order sums a_m, b_m at the circle heights, cos m(psi + phi) and
+    sin m(psi + phi) expand into the circle means C[i, m] of a_m cos m psi
+    + b_m sin m psi and S[i, m] of b_m cos m psi - a_m sin m psi, and the
+    grid values are C @ cos(m phi_j) + S @ sin(m phi_j).  This only
+    reorders the quadrature sum over the circles; it never reads the
+    multiplier table, so the route stays independent of `radon_spectral`.
     """
-    circle_points = 2 * f.band_limit + 9
+    L, grid = f.band_limit, f.grid
+    circle_points = 2 * L + 9
     tau = 2.0 * np.pi * np.arange(circle_points) / circle_points
     cs, sn = np.cos(tau), np.sin(tau)
-    dirs = f.grid.points().reshape(-1, 3)
+    dirs = np.stack((np.sqrt(1.0 - grid.x**2), np.zeros_like(grid.x), grid.x), axis=-1)
     u, v = tangent_frame(dirs)
     circles = cs[None, :, None] * u[:, None, :] + sn[None, :, None] * v[:, None, :]
-    vals = f.eval_at_points(circles.reshape(-1, 3)).reshape(len(dirs), circle_points)
-    out_vals = vals.mean(axis=1).reshape(f.grid.weights.shape)
-    return S2Function.from_values(f.band_limit, out_vals, f.grid)
+    psi = np.arctan2(circles[..., 1], circles[..., 0])     # (n_theta, M)
+    c, s = np.empty((2, grid.n_theta, L + 1))
+    for m, scale, a, b in _order_sums(f.coeffs, L, circles[..., 2].ravel()):
+        a, b = scale * a.reshape(psi.shape), scale * b.reshape(psi.shape)
+        cos_m, sin_m = np.cos(m * psi), np.sin(m * psi)
+        c[:, m] = (a * cos_m + b * sin_m).mean(axis=1)
+        s[:, m] = (b * cos_m - a * sin_m).mean(axis=1)
+    _, cos_t, sin_t = _grid_tables(L, grid)
+    return S2Function.from_values(L, c @ cos_t + s @ sin_t, grid)
 
 
 # ---------------------------------------------------------------------------

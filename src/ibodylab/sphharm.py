@@ -141,6 +141,15 @@ def synthesize_s2(coeffs: np.ndarray, grid: S2Grid) -> np.ndarray:
     return gc @ cos_t + gs @ sin_t
 
 
+def _order_sums(coeffs: np.ndarray, band_limit: int, z: np.ndarray):
+    """Yield (m, scale, a_m, b_m), m = 0..L: the cosine and sine sums
+    a_m = sum_l c[l, m] Q[l, m](z) and b_m = sum_l c[l, -m] Q[l, m](z) at
+    heights z, so f = sum_m scale (a_m cos m phi + b_m sin m phi)."""
+    for m, qm in enumerate(_legendre_orders(band_limit, z)):
+        cos_i, sin_i, scale = _order_slots(band_limit, m)
+        yield m, scale, coeffs[cos_i] @ qm, coeffs[sin_i] @ qm
+
+
 def eval_s2_at_points(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate at arbitrary unit vectors, shape (..., 3); orders are summed
     one at a time per chunk of points, so memory is O(L N), not O(L^2 N)."""
@@ -152,10 +161,8 @@ def eval_s2_at_points(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
         block = pts[start:start + _CHUNK]
         phi = np.arctan2(block[:, 1], block[:, 0])
         vals = out[start:start + _CHUNK]
-        for m, qm in enumerate(_legendre_orders(L, block[:, 2])):
-            cos_i, sin_i, scale = _order_slots(L, m)
-            vals += scale * ((coeffs[cos_i] @ qm) * np.cos(m * phi)
-                             + (coeffs[sin_i] @ qm) * np.sin(m * phi))
+        for m, scale, a, b in _order_sums(coeffs, L, block[:, 2]):
+            vals += scale * (a * np.cos(m * phi) + b * np.sin(m * phi))
     return out.reshape(np.asarray(points).shape[:-1])
 
 

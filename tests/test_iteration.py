@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,6 +250,24 @@ def test_raw_power_divergence_guard():
     assert rep.stopped_reason == "diverged"
     assert len(rep.records) >= 2
     assert rep.records[-1].l2 > rep.records[-2].l2
+
+
+def test_divergence_guard_sees_nan(monkeypatch):
+    import ibodylab.iteration as iteration
+
+    real_step = iteration.iterate_step
+
+    def nan_step(body, opts):
+        cur, rec = real_step(body, opts)
+        return cur, replace(rec, l2=math.nan)
+
+    monkeypatch.setattr(iteration, "iterate_step", nan_step)
+    with pytest.raises(DivergenceError) as ei:
+        run_iteration(zonal_body(3, 8, {4: 0.01}), IterationOptions(max_steps=5))
+    rep = ei.value.report
+    assert rep.stopped_reason == "diverged"
+    assert len(rep.records) == 2
+    assert math.isnan(rep.records[-1].l2)
 
 
 def test_tracked_norms_stay_sane():

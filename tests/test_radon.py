@@ -1,20 +1,24 @@
 """Spherical Radon transform: eigenvalues, both quadrature routes, smoothing."""
 
+import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ibodylab import (
     S2Function,
     ZonalProfile,
     default_rule,
     l2_norm,
+    make_rng,
     radon_coefficient,
     radon_geometric_s2,
     radon_geometric_zonal,
     radon_multiplier,
     radon_spectral,
+    sh_degrees,
     sh_index,
     smoothing_gain_experiment,
 )
@@ -181,6 +185,40 @@ def test_route_agreement_s2(seed):
     a = radon_spectral(f).coeffs
     b = radon_geometric_s2(f).coeffs
     assert np.max(np.abs(a - b)) <= ORACLE_TOL
+
+
+def _random_full_s2(band_limit: int, seed: int) -> S2Function:
+    """Gaussian coefficients at every degree and order, odd ones included,
+    damped like the `radon-oracle` inputs."""
+    degs = sh_degrees(band_limit)
+    coeffs = make_rng(seed).standard_normal(degs.size) * (1.0 + degs) ** -1.5
+    return S2Function.from_coeffs(coeffs)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(band_limit=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
+def test_route_agreement_s2_property(band_limit, seed):
+    # every order m and odd degrees; the grid directions with |x_1| > 0.9
+    # are where tangent_frame switches axes
+    f = _random_full_s2(band_limit, seed)
+    gap = np.abs(radon_geometric_s2(f).coeffs - radon_spectral(f).coeffs).max()
+    assert gap <= ORACLE_TOL
+
+
+def test_geometric_routes_never_read_the_multiplier_table(monkeypatch):
+    s2 = _random_full_s2(12, seed=7)
+    zonal = random_even_zonal(5, 24, seed=7)
+    want = [radon_spectral(f).coeffs for f in (s2, zonal)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a geometric route read radon_multiplier")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ibodylab" and hasattr(module, "radon_multiplier"):
+            monkeypatch.setattr(module, "radon_multiplier", refuse)
+    got = [radon_geometric_s2(s2).coeffs, radon_geometric_zonal(zonal).coeffs]
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= ORACLE_TOL
 
 
 def test_self_adjointness():
