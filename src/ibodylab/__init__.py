@@ -42,7 +42,6 @@ from .iteration import (
     IterationOptions,
     IterationReport,
     StepRecord,
-    ball_distance_proxies,
     cap_scaling_exponents,
     fit_degree2_correction,
     iterate_step,

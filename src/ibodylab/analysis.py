@@ -33,8 +33,6 @@ def l2_norm(f) -> float:
 def _multiplier_values(m, kmax: int) -> np.ndarray:
     if callable(m):
         return np.array([float(m(k)) for k in range(kmax + 1)])
-    if isinstance(m, dict):
-        return np.array([float(m.get(k, 0.0)) for k in range(kmax + 1)])
     arr = np.asarray(m, dtype=float)
     if arr.size < kmax + 1:
         raise ValueError(f"multiplier array too short for band limit {kmax}")
@@ -44,7 +42,7 @@ def _multiplier_values(m, kmax: int) -> np.ndarray:
 def apply_multiplier(f, m):
     """Multiply the degree-k coefficients by m(k); exact in coefficient space.
 
-    `m` may be a callable, a dict, or an array indexed by degree.
+    `m` may be a callable or an array indexed by degree.
     """
     vals = _multiplier_values(m, f.band_limit)
     return f.with_coeffs(f.coeffs * vals[f.degrees])
@@ -138,8 +136,10 @@ def approx_decay_norm(f, alpha: float) -> float:
 
     The degree-n L^2 truncation is the best polynomial approximant, so the
     tails are tail_n = sqrt(sum of energies above degree n); they vanish
-    from the band limit on.
+    from the band limit on.  A non-finite alpha raises ValueError.
     """
+    if not np.isfinite(alpha):
+        raise ValueError(f"decay exponent {alpha!r} is not finite")
     return max(sup_norm(f), _decay_tail(f, alpha))
 
 

@@ -13,7 +13,6 @@ which corresponds to replacing the body K by T^(-1) K.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -80,31 +79,6 @@ class StarBody:
         if isinstance(self.profile, ZonalProfile):
             return self.profile.eval_at(arg)
         return self.profile.eval_at_points(arg)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "schema_version": 1,
-            "dim": self.dim,
-            "band_limit": self.band_limit,
-            "representation": self.representation,
-            "coeffs": [float(c) for c in self.profile.coeffs],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "StarBody":
-        obj = json.loads(text)
-        coeffs = np.asarray(obj["coeffs"], dtype=float)
-        if obj["representation"] == "zonal":
-            prof = ZonalProfile.from_coeffs(int(obj["dim"]), coeffs)
-        elif obj["representation"] == "s2":
-            if int(obj["dim"]) != 3:
-                raise ValueError("s2 representation requires dim 3")
-            prof = S2Function.from_coeffs(coeffs)
-        else:
-            raise ValueError(f"unknown representation {obj['representation']!r}")
-        if prof.band_limit != int(obj["band_limit"]):
-            raise ValueError("coefficient length does not match band_limit")
-        return cls(prof)
 
 
 def ball_body(d: int, band_limit: int, representation: str = "zonal") -> StarBody:

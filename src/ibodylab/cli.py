@@ -404,25 +404,22 @@ def cmd_iterate(cfg: dict) -> int:
     except ValueError as exc:
         # a start outside the corrected step's domain fails the first step
         raise ConfigError(str(exc)) from exc
-    doc = report.to_json_dict()
-    header = ["m", "l2", "sup", "ratio", "gamma", "q_norm", "trunc_loss"]
+    header = ["m", "l2", "sup", "ratio", "gamma", "q_norm", "trunc_loss", "u_alpha"]
     rows = [[r.m, r.l2, r.sup, None if math.isnan(r.ratio) else r.ratio,
-             r.gamma, r.q_norm, r.trunc_loss] for r in report.records]
+             r.gamma, r.q_norm, r.trunc_loss, r.u_alpha] for r in report.records]
     predicted = 3.0 / (d + 1.0)
     summary = {
-        "asymptotic_ratio": doc["asymptotic_ratio"],
+        "asymptotic_ratio": report.asymptotic_ratio,
         "predicted_dominant_ratio": predicted,
-        "monotone_after_first": doc["monotone_after_first"],
-        "stopped_reason": doc["stopped_reason"],
+        "monotone_after_first": report.monotone_after_first,
+        "stopped_reason": report.stopped_reason,
         "steps_run": len(report.records) - 1,
         "final_l2": report.records[-1].l2,
         "diverged": diverged,
     }
     code = _emit("iterate", cfg, header, rows, summary, diverged is None)
-    ratio = doc["asymptotic_ratio"]
-    shown = "nan" if ratio is None else f"{ratio:.6f}"
-    print(f"asymptotic ratio {shown} vs predicted dominant {predicted:.6f}",
-          file=sys.stderr)
+    print(f"asymptotic ratio {report.asymptotic_ratio:.6f} "
+          f"vs predicted dominant {predicted:.6f}", file=sys.stderr)
     return code
 
 

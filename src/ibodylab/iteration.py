@@ -10,14 +10,12 @@ transform) and gamma rescales the output to surface mean 1.  A raw mode
 runs the bare recursion rho -> R(rho^(d-1)) with no correction and no
 rescale, which lets the mean drift inside the expected power envelope.
 
-The module also provides upper bounds for the distance to the ball
-modulo linear maps, and the cap family scaling experiment for the sup
+The module also provides the cap family scaling experiment for the sup
 and gradient norms against the L2 norm.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -45,20 +43,6 @@ def _mean_zero_profile(f):
     c = np.array(f.coeffs, dtype=float)
     c[0] = 0.0
     return f.with_coeffs(c)
-
-
-def _sym_basis_3d() -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of traceless symmetric 3x3 matrices."""
-    r2, r6 = math.sqrt(2.0), math.sqrt(6.0)
-    e = np.eye(3)
-    basis = [
-        np.diag([1.0, -1.0, 0.0]) / r2,
-        np.diag([1.0, 1.0, -2.0]) / r6,
-    ]
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        m = (np.outer(e[i], e[j]) + np.outer(e[j], e[i])) / r2
-        basis.append(m)
-    return basis
 
 
 def fit_degree2_correction(phi) -> np.ndarray:
@@ -124,6 +108,9 @@ class IterationOptions:
             raise ValueError("max_steps must be at least 1")
         if not self.stop_tol > 0.0:
             raise ValueError("stop_tol must be positive")
+        alpha = self.track_decay_alpha
+        if alpha is not None and not math.isfinite(alpha):
+            raise ValueError(f"track_decay_alpha {alpha!r} is not finite")
         if self.method not in ("spectral", "geometric"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -253,46 +240,6 @@ class IterationReport:
     monotone_after_first: bool
     stopped_reason: str
 
-    def to_json_dict(self) -> dict:
-        steps = []
-        for r in self.records:
-            row = {
-                "m": r.m,
-                "l2": r.l2,
-                "sup": r.sup,
-                "ratio": None if math.isnan(r.ratio) else r.ratio,
-                "gamma": r.gamma,
-                "q_norm": r.q_norm,
-                "q_matrix": np.asarray(r.q_matrix).tolist(),
-                "trunc_loss": r.trunc_loss,
-                "energies": np.asarray(r.energies).tolist(),
-                "mean_radial": r.mean_radial,
-                "min_radial": r.min_radial,
-                "max_radial": r.max_radial,
-            }
-            if r.u_alpha is not None:
-                row["u_alpha"] = r.u_alpha
-            if r.c2 is not None:
-                row["c2"] = r.c2
-            steps.append(row)
-        ratio = self.asymptotic_ratio
-        return {
-            "schema_version": 1,
-            "kind": "iteration_report",
-            "dim": self.dim,
-            "band_limit": self.band_limit,
-            "representation": self.representation,
-            "kill_h2": self.options.kill_h2,
-            "raw_power_mode": self.options.raw_power_mode,
-            "asymptotic_ratio": None if math.isnan(ratio) else ratio,
-            "monotone_after_first": self.monotone_after_first,
-            "stopped_reason": self.stopped_reason,
-            "steps": steps,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
 
 def run_iteration(body: StarBody, opts: IterationOptions) -> IterationReport:
     """Drive iterate_step until the L2 deviation falls below stop_tol or
@@ -343,91 +290,6 @@ def run_iteration(body: StarBody, opts: IterationOptions) -> IterationReport:
     if records[-1].l2 < opts.stop_tol:
         return close("converged")
     return close("max_steps")
-
-
-# ---------------------------------------------------------------------------
-# distance-to-ball proxies
-
-def _q_from_params(params: np.ndarray, d: int, zonal: bool) -> np.ndarray:
-    if zonal:
-        q_axis = np.diag(np.full(d, -1.0 / d))
-        q_axis[-1, -1] = (d - 1.0) / d
-        return float(params[0]) * q_axis
-    basis = _sym_basis_3d()
-    return sum(float(p) * b for p, b in zip(params, basis))
-
-
-def _params_from_q(q: np.ndarray, d: int, zonal: bool) -> np.ndarray:
-    if zonal:
-        return np.array([float(q[-1, -1]) * d / (d - 1.0)])
-    return np.array([float(np.tensordot(q, b)) for b in _sym_basis_3d()])
-
-
-def ball_distance_proxies(body: StarBody, budget: int = 200) -> tuple[float, float]:
-    """Upper bounds for the L2 and sup distances to the ball modulo
-    invertible linear maps.
-
-    Evaluates ||rho_T / mean - 1|| for T = I (identity), T = I + Q from
-    the degree-2 fit, and a short coordinate descent over symmetric
-    traceless Q near the fit (at most `budget` evaluations), returning
-    the smallest value seen for each norm.  These are upper bounds for
-    the true infimum over all of GL(d), not the infimum itself.
-    """
-    f = _rescaled_to_mean_one(body).profile
-    d = body.dim
-    zonal = isinstance(f, ZonalProfile)
-    nparams = 1 if zonal else 5
-    best = {"l2": math.inf, "sup": math.inf}
-    evals = 0
-
-    def objective(params: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        q = _q_from_params(params, d, zonal)
-        if np.linalg.norm(q, 2) >= 0.5:
-            return math.inf
-        g = apply_linear_map(f, np.eye(d) + q) if np.any(params) else f
-        c = np.array(g.coeffs, dtype=float)
-        c /= c[0]
-        c[0] -= 1.0
-        dev = g.with_coeffs(c)
-        l2 = l2_norm(dev)
-        best["l2"] = min(best["l2"], l2)
-        best["sup"] = min(best["sup"], sup_norm(dev))
-        return l2
-
-    x = np.zeros(nparams)
-    f0 = objective(x)
-    phi = _mean_zero_profile(f)
-    q_fit = fit_degree2_correction(phi)
-    x_fit = _params_from_q(q_fit, d, zonal)
-    f_fit = objective(x_fit)
-    if f_fit < f0:
-        x, fx = x_fit.copy(), f_fit
-    else:
-        fx = f0
-    h = max(1e-3, float(np.abs(x_fit).max()) * 0.5)
-    for _ in range(4):
-        for i in range(nparams):
-            if evals + 3 > budget:
-                return best["l2"], best["sup"]
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            fp, fm = objective(xp), objective(xm)
-            denom = fp - 2.0 * fx + fm
-            if math.isfinite(denom) and denom > 0.0:
-                step = 0.5 * h * (fm - fp) / denom
-                step = float(np.clip(step, -h, h))
-            else:
-                step = -h if fp > fm else h
-            xn = x.copy()
-            xn[i] += step
-            fn = objective(xn)
-            if fn < fx:
-                x, fx = xn, fn
-        h *= 0.35
-    return best["l2"], best["sup"]
 
 
 # ---------------------------------------------------------------------------

@@ -75,11 +75,8 @@ def test_multiplier_mean_projector():
     assert np.sum(np.abs(g.coeffs[1:])) == 0.0
 
 
-def test_multiplier_accepts_dict_and_array():
+def test_multiplier_accepts_array():
     f = random_even_zonal(3, 6, seed=3)
-    m = {k: 0.5 for k in range(7)}
-    g = apply_multiplier(f, m)
-    assert np.array_equal(g.coeffs, 0.5 * f.coeffs)
     arr = np.full(7, 0.25)
     h = apply_multiplier(f, arr)
     assert np.array_equal(h.coeffs, 0.25 * f.coeffs)
@@ -175,6 +172,13 @@ def test_decay_norm_of_single_high_mode():
     assert approx_decay_norm(f, 2.0) == pytest.approx(49.0, rel=1e-9)
     assert approx_decay_norm(f, 0.1) == pytest.approx(s, rel=1e-9)
     assert 7.0**0.1 < s  # the sup branch is the active one at small alpha
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_decay_norm_rejects_non_finite_alpha(alpha):
+    # max(sup, nan) would keep sup and hide the bad exponent
+    with pytest.raises(ValueError):
+        approx_decay_norm(random_even_zonal(3, 8, seed=5), alpha)
 
 
 @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0])

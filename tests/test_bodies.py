@@ -1,7 +1,5 @@
 """Star bodies, linear images, sections, and the intersection-body operator."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -289,40 +287,6 @@ def test_ellipsoid_rejects_bad_matrix():
     M[0, 1] = 0.3  # not symmetric
     with pytest.raises(ValueError):
         ellipsoid_body(M)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def test_json_round_trip_zonal():
-    body = zonal_body(5, 10, {2: 0.01, 6: -0.02})
-    blob = body.to_json()
-    doc = json.loads(blob)
-    assert doc["schema_version"] == 1
-    assert doc["dim"] == 5
-    assert doc["band_limit"] == 10
-    assert doc["representation"] == "zonal"
-    back = StarBody.from_json(blob)
-    assert np.array_equal(back.profile.coeffs, body.profile.coeffs)
-
-
-def test_json_round_trip_s2():
-    body = s2_body(8, seed=20, scale=0.05)
-    back = StarBody.from_json(body.to_json())
-    assert np.array_equal(back.profile.coeffs, body.profile.coeffs)
-    assert back.representation == "s2"
-
-
-def test_from_json_rejects_garbage():
-    body = zonal_body(3, 6, {})
-    doc = json.loads(body.to_json())
-    doc["representation"] = "fourier"
-    with pytest.raises(ValueError):
-        StarBody.from_json(json.dumps(doc))
-    doc = json.loads(body.to_json())
-    doc["band_limit"] = 4
-    with pytest.raises(ValueError):
-        StarBody.from_json(json.dumps(doc))
 
 
 def test_radon_of_power_meta():

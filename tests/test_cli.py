@@ -138,12 +138,31 @@ def test_iterate_report_csv_layout(tmp_path, capsys):
     code, _, _ = run_cli(["iterate", "--steps", "3", "--out", str(tmp_path / "c")], capsys)
     assert code == 0
     lines = (tmp_path / "c" / "report.csv").read_text().strip().split("\n")
-    assert lines[0] == "m,l2,sup,ratio,gamma,q_norm,trunc_loss"
+    assert lines[0] == "m,l2,sup,ratio,gamma,q_norm,trunc_loss,u_alpha"
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[3] == ""  # no ratio before the first step
     doc = json.loads((tmp_path / "c" / "report.json").read_text())
     assert len(lines) == len(doc["rows"]) + 1 == 5
+
+
+@pytest.mark.parametrize("flags, tracked", [
+    (["--alpha", "4"], True),
+    (["--dim", "4"], False),  # no default decay exponent outside d = 3
+])
+def test_iterate_rows_carry_u_alpha(flags, tracked, tmp_path, capsys):
+    code, _, _ = run_cli(["iterate", "--steps", "3", "--out", str(tmp_path)] + flags, capsys)
+    assert code == 0
+    cells = [line.split(",")[-1] for line in
+             (tmp_path / "report.csv").read_text().strip().split("\n")[1:]]
+    rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+    assert len(cells) == len(rows) == 4
+    if tracked:
+        assert all(np.isfinite(float(c)) for c in cells)
+        assert all(r["u_alpha"] >= r["sup"] for r in rows)
+    else:
+        assert cells == [""] * 4
+        assert all(r["u_alpha"] is None for r in rows)
 
 
 # ---------------------------------------------------------------------------

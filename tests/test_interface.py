@@ -1,7 +1,9 @@
 """The interface that ZonalProfile and S2Function share, and the package exports."""
 
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 from types import ModuleType
 
 import numpy as np
@@ -134,21 +136,21 @@ SURFACE = {
     "intersection_body", "radon_of_power", "section_volume", "sphere_area",
     # the iteration and its experiments
     "CapScalingResult", "DivergenceError", "IterationOptions",
-    "IterationReport", "StepRecord", "ball_distance_proxies",
-    "cap_scaling_exponents", "fit_degree2_correction", "iterate_step",
-    "run_iteration",
+    "IterationReport", "StepRecord", "cap_scaling_exponents",
+    "fit_degree2_correction", "iterate_step", "run_iteration",
     "make_rng",
 }
 
 
 def test_package_exports_exactly_the_audited_surface():
-    assert len(SURFACE) == 52
+    assert len(SURFACE) == 51
     assert set(ibodylab.__all__) == SURFACE
 
 
 # Every parameter with a default, audited: a new knob joins this set only with
 # a caller in the package, the command line, the demos or the benchmark that
-# sets it (`ball_distance_proxies(budget)` and `tail_indices` still have none).
+# sets it.  `smoothing_gain_experiment(tail_indices)` is the one exception:
+# acceptance criterion 7 sets it, and that gate is fixed.
 KNOBS = {
     "ball_body(representation)",
     "ellipsoid_body(band_limit)", "ellipsoid_body(representation)",
@@ -156,7 +158,6 @@ KNOBS = {
     "ellipsoid_intersection_closed_form(representation)",
     "intersection_body(method)",
     "radon_of_power(method)", "radon_of_power(normalize)",
-    "ball_distance_proxies(budget)",
     "cap_scaling_exponents(widths)", "cap_scaling_exponents(resolution)",
     "smoothing_gain_experiment(decay)", "smoothing_gain_experiment(band_limit)",
     "smoothing_gain_experiment(tail_indices)",
@@ -189,5 +190,32 @@ def test_optional_parameters_are_exactly_the_audited_knobs():
                     found += _defaulted(fn, f"{name}.{attr}")
     found += [f"IterationOptions.{f.name}"
               for f in dataclasses.fields(ibodylab.IterationOptions)]
-    assert len(KNOBS) == 25
+    assert len(KNOBS) == 24
     assert sorted(found) == sorted(KNOBS)
+
+
+def _names_taken_from_the_package(path: Path) -> set[str]:
+    """Names a script takes from ibodylab: `from ibodylab import ...` and the
+    attributes of a module bound by `import ibodylab` or named `ib`."""
+    tree = ast.parse(path.read_text())
+    aliases = {"ib"}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "ibodylab" and not node.level:
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name == "ibodylab"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and not node.attr.startswith("__")):
+            names.add(node.attr)
+    return names
+
+
+def test_demos_and_benchmark_use_only_exported_names():
+    root = Path(__file__).resolve().parent.parent
+    scripts = sorted(root.glob("demos/*.py")) + sorted(root.glob("benchmarks/*.py"))
+    assert scripts
+    missing = {f"{p.relative_to(root)}: {name}" for p in scripts
+               for name in _names_taken_from_the_package(p) - set(ibodylab.__all__)}
+    assert not missing

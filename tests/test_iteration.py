@@ -1,6 +1,5 @@
 """Corrected power iteration: the step map, full runs, and the experiments."""
 
-import json
 import math
 from dataclasses import replace
 
@@ -14,10 +13,8 @@ from ibodylab import (
     StarBody,
     ZonalProfile,
     ball_body,
-    ball_distance_proxies,
     cap_scaling_exponents,
     default_rule,
-    ellipsoid_body,
     fit_degree2_correction,
     iterate_step,
     radon_multiplier,
@@ -295,47 +292,15 @@ def test_options_validation():
         IterationOptions(method="nope")
 
 
-# ---------------------------------------------------------------------------
-# report serialization
-
-def test_report_json_fields():
-    rep = run_iteration(_mix_body(3), IterationOptions(max_steps=2))
-    doc = json.loads(rep.to_json())
-    assert doc["schema_version"] == 1
-    assert doc["kind"] == "iteration_report"
-    assert doc["dim"] == 3
-    assert doc["stopped_reason"] == "max_steps"
-    assert len(doc["steps"]) == 3
-    assert doc["steps"][0]["ratio"] is None  # nan is serialized as null
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_options_reject_non_finite_decay_alpha(alpha):
+    # a NaN exponent would record u_alpha == sup at every step
+    with pytest.raises(ValueError):
+        IterationOptions(track_decay_alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
-# distance proxies and cap scaling
-
-def test_proxies_vanish_on_ball():
-    assert ball_distance_proxies(ball_body(3, 8), budget=40) == (0.0, 0.0)
-
-
-def test_proxies_small_for_linear_images():
-    body = ellipsoid_body(np.diag([1.01, 1.01, 0.99]), band_limit=16)
-    l2p, supp = ball_distance_proxies(body, budget=80)
-    assert l2p <= 1e-4 and supp <= 1e-4
-    rng = np.random.default_rng(3)
-    B = rng.standard_normal((3, 3))
-    Q, _ = np.linalg.qr(B)
-    A = Q @ np.diag([0.99, 1.0, 1.01]) @ Q.T
-    l2p, supp = ball_distance_proxies(ellipsoid_body(A, band_limit=16), budget=80)
-    assert l2p <= 1e-4 and supp <= 1e-4
-
-
-def test_proxies_bounded_by_plain_deviation():
-    body = s2_body(8, seed=31, scale=0.05)
-    l2p, supp = ball_distance_proxies(body, budget=60)
-    c = body.profile.coeffs.copy()
-    c[0] -= 1.0
-    assert l2p <= float(np.linalg.norm(c)) + 1e-12
-    assert supp <= sup_norm(S2Function.from_coeffs(c)) + 1e-9
-
+# cap scaling
 
 def test_cap_scaling_exponents_d3():
     res = cap_scaling_exponents(3)
