@@ -220,7 +220,8 @@ def section_volume(body: StarBody, direction) -> float:
             t = float(arr)
         if not -1.0 <= t <= 1.0:
             raise ValueError("zonal direction must be a height in [-1, 1]")
-        sub = subsphere_rule(d, f.band_limit + 8)
+        # exact for rho^(d-1), of band (d-1)K, with the geometric route's margin 8
+        sub = subsphere_rule(d, (d - 1) * f.band_limit + 8)
         args = np.sqrt(max(1.0 - t * t, 0.0)) * sub.nodes
         avg = float(f.eval_at(args) ** (d - 1) @ sub.weights)
         return sphere_area(d - 2) / (d - 1) * avg

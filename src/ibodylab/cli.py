@@ -384,26 +384,20 @@ def cmd_iterate(cfg: dict) -> int:
     alpha = cfg["alpha"]
     if alpha is None and d == 3:
         alpha = 4.0
-    try:
-        opts = IterationOptions(
-            kill_h2=cfg["kill_h2"],
-            raw_power_mode=cfg["raw_power"],
-            max_steps=cfg["steps"],
-            stop_tol=cfg["stop_tol"],
-            method=cfg["method"],
-            track_decay_alpha=alpha,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    opts = IterationOptions(
+        kill_h2=cfg["kill_h2"],
+        raw_power_mode=cfg["raw_power"],
+        max_steps=cfg["steps"],
+        stop_tol=cfg["stop_tol"],
+        method=cfg["method"],
+        track_decay_alpha=alpha,
+    )
     diverged = None
     try:
         report = run_iteration(body, opts)
     except DivergenceError as exc:
         diverged = str(exc)
         report = exc.report
-    except ValueError as exc:
-        # a start outside the corrected step's domain fails the first step
-        raise ConfigError(str(exc)) from exc
     header = ["m", "l2", "sup", "ratio", "gamma", "q_norm", "trunc_loss", "u_alpha"]
     rows = [[r.m, r.l2, r.sup, None if math.isnan(r.ratio) else r.ratio,
              r.gamma, r.q_norm, r.trunc_loss, r.u_alpha] for r in report.records]
@@ -463,11 +457,7 @@ def cmd_multiplier_bound(cfg: dict) -> int:
 
 def cmd_smoothing_gain(cfg: dict) -> int:
     d = cfg["dim"]
-    try:
-        res = smoothing_gain_experiment(
-            d, decay=cfg["decay"], band_limit=cfg["band_limit"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    res = smoothing_gain_experiment(d, decay=cfg["decay"], band_limit=cfg["band_limit"])
     header = ["tail_degree", "energy_ratio", "l2_ratio"]
     rows = [[int(n), float(r), float(math.sqrt(r))]
             for n, r in zip(res.tail_indices, res.energy_ratios)]
@@ -484,12 +474,7 @@ def cmd_smoothing_gain(cfg: dict) -> int:
 
 def cmd_cap_scaling(cfg: dict) -> int:
     d = cfg["dim"]
-    widths = cfg["widths"]
-    try:
-        res = cap_scaling_exponents(
-            d, widths=widths, resolution=cfg["resolution"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    res = cap_scaling_exponents(d, widths=cfg["widths"], resolution=cfg["resolution"])
     header = ["width", "l2", "sup", "grad_sup"]
     rows = [[float(w), float(l2), float(s), float(g)]
             for w, l2, s, g in zip(res.widths, res.l2_values,
@@ -597,7 +582,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command][0](_resolve_config(args))
-    except ConfigError as exc:
+    except ValueError as exc:
+        # ConfigError, or a library check that rejects the input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PositivityError, DivergenceError) as exc:

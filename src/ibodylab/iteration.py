@@ -23,6 +23,7 @@ import numpy as np
 
 from .analysis import _ambient_hessian_norm, _decay_tail, c2_norm, l2_norm, sup_norm
 from .bodies import StarBody, apply_linear_map, radon_of_power
+from .sphharm import sh_index
 from .zonal import ZonalProfile
 
 
@@ -38,49 +39,37 @@ class DivergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 # degree-2 correction map
 
-def _mean_zero_profile(f):
-    """phi = f - mean(f), as a profile of the same representation."""
+def _deviation(f):
+    """rho - 1, the deviation from the ball, in the same representation."""
     c = np.array(f.coeffs, dtype=float)
-    c[0] = 0.0
+    c[0] -= 1.0
     return f.with_coeffs(c)
 
 
 def fit_degree2_correction(phi) -> np.ndarray:
     """Traceless symmetric Q with (Qx, x) equal to the degree-2 harmonic
-    component of phi on the unit sphere.
+    component of phi on the unit sphere, read off its degree-2
+    coefficients.  phi must have zero mean.
 
-    The scale is calibrated at call time by fitting the known pair
-    phi = x_d^2 - 1/d  ->  Q = diag(-1/d, ..., -1/d, (d-1)/d) in the same
-    representation, so the result is immune to basis-normalization
-    conventions.  phi must have zero mean.
+    Zonal: the unit-norm Z_2 is s (t^2 - 1/d) with s = d sqrt((d+2)/(2(d-1))),
+    so Q = c_2 s diag(-1/d, ..., -1/d, (d-1)/d).  S^2: with c_m the (2, m)
+    coefficient, Q = b [[c_2, c_-2, c_1], [c_-2, -c_2, c_-1], [c_1, c_-1, 0]]
+    + a c_0 diag(-1, -1, 2), where a = sqrt(5)/2 and b = sqrt(15)/2.
     """
     coeffs = np.asarray(phi.coeffs, dtype=float)
     scale = max(1.0, float(np.sqrt((coeffs**2).sum())))
     if abs(float(coeffs[0])) > 1e-10 * scale:
         raise ValueError("degree-2 fit requires a mean-zero input")
+    d = phi.dim
+    if phi.band_limit < 2:
+        return np.zeros((d, d))
     if isinstance(phi, ZonalProfile):
-        d = phi.dim
-        if phi.band_limit < 2:
-            return np.zeros((d, d))
-        cal = ZonalProfile.from_values(
-            d, 2, phi.rule.nodes**2 - 1.0 / d, phi.rule).coeffs[2]
-        q_axis = np.diag(np.full(d, -1.0 / d))
-        q_axis[-1, -1] = (d - 1.0) / d
-        return (float(coeffs[2]) / cal) * q_axis
-    d = 3
-    grid = phi.grid
-    pts = grid.points()
-    w = grid.weights
-    vals = np.asarray(phi.values, dtype=float)
-    cal_vals = pts[..., 2] ** 2 - 1.0 / 3.0
-
-    def moment(v):
-        m = np.einsum("tp,tpi,tpj->ij", w * v, pts, pts)
-        return m - np.trace(m) / 3.0 * np.eye(3)
-
-    m_cal = moment(cal_vals)
-    c = (2.0 / 3.0) / m_cal[2, 2]
-    return c * moment(vals)
+        q_axis = np.full(d, -1.0 / d)
+        q_axis[-1] = (d - 1.0) / d
+        return np.diag(coeffs[2] * d * math.sqrt((d + 2.0) / (2.0 * (d - 1.0))) * q_axis)
+    cm2, cm1, c0, c1, c2 = coeffs[sh_index(2, -2):sh_index(2, 2) + 1]
+    q = math.sqrt(15.0) / 2.0 * np.array([[c2, cm2, c1], [cm2, -c2, cm1], [c1, cm1, 0.0]])
+    return q + math.sqrt(5.0) / 2.0 * c0 * np.diag([-1.0, -1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +132,12 @@ def _radial_range(body: StarBody) -> tuple[float, float]:
 
 
 def _state_record(body: StarBody, m: int, opts: IterationOptions,
-                  q: np.ndarray, gamma: float, ratio: float,
-                  trunc_loss: float) -> StepRecord:
+                  q: np.ndarray, gamma: float, trunc_loss: float,
+                  l2_prev: float) -> StepRecord:
+    """Record of the state `body`; its ratio is its L2 deviation over
+    l2_prev, the L2 deviation of the step's input (NaN for the start)."""
     mean = float(np.asarray(body.profile.coeffs)[0])
-    shift = np.array(body.profile.coeffs, dtype=float)
-    shift[0] -= 1.0
-    dev = body.profile.with_coeffs(shift)
+    dev = _deviation(body.profile)
     lo, hi = _radial_range(body)
     sup = sup_norm(dev)
     u_alpha = None
@@ -156,14 +145,15 @@ def _state_record(body: StarBody, m: int, opts: IterationOptions,
         # approx_decay_norm(dev, alpha), reusing the sup norm of the record
         u_alpha = max(sup, _decay_tail(dev, opts.track_decay_alpha))
     c2 = c2_norm(body.profile) if opts.track_c2 else None
+    l2 = l2_norm(dev)
     return StepRecord(
         m=m,
-        l2=l2_norm(dev),
+        l2=l2,
         sup=sup,
         energies=dev.energies(),
         q_matrix=q,
         gamma=gamma,
-        ratio=ratio,
+        ratio=l2 / l2_prev if l2_prev > 0.0 else math.nan,
         trunc_loss=trunc_loss,
         mean_radial=mean,
         min_radial=lo,
@@ -195,9 +185,6 @@ def iterate_step(body: StarBody, opts: IterationOptions) -> tuple[StarBody, Step
     q = np.zeros((d, d))
     gamma = 1.0
     if opts.raw_power_mode:
-        shift = np.array(body.profile.coeffs, dtype=float)
-        shift[0] -= 1.0
-        l2_prev = float(np.sqrt((shift**2).sum()))
         out = radon_of_power(body, method=opts.method, normalize=False)
     else:
         body = _rescaled_to_mean_one(body)
@@ -206,11 +193,9 @@ def iterate_step(body: StarBody, opts: IterationOptions) -> tuple[StarBody, Step
             raise ValueError(
                 "the radial function deviates from 1 by 1/2 or more; "
                 "the corrected step is only defined near the ball")
-        phi = _mean_zero_profile(body.profile)
-        l2_prev = l2_norm(phi)
         work = body
         if opts.kill_h2:
-            q = fit_degree2_correction(phi)
+            q = fit_degree2_correction(_deviation(body.profile))
             q_norm = float(np.linalg.norm(q, 2))
             if q_norm >= 0.5:
                 raise ValueError(
@@ -219,12 +204,9 @@ def iterate_step(body: StarBody, opts: IterationOptions) -> tuple[StarBody, Step
                 work = apply_linear_map(body, np.eye(d) + q)
         out = radon_of_power(work, method=opts.method, normalize=True)
         gamma = 1.0 / out.meta["mean_power"]
-    l2_new_shift = np.array(out.profile.coeffs, dtype=float)
-    l2_new_shift[0] -= 1.0
-    l2_new = float(np.sqrt((l2_new_shift**2).sum()))
-    ratio = l2_new / l2_prev if l2_prev > 0.0 else math.nan
     rec = _state_record(out, m=-1, opts=opts, q=q, gamma=gamma,
-                        ratio=ratio, trunc_loss=out.meta["trunc_loss"])
+                        trunc_loss=out.meta["trunc_loss"],
+                        l2_prev=l2_norm(_deviation(body.profile)))
     return out, rec
 
 
@@ -256,7 +238,7 @@ def run_iteration(body: StarBody, opts: IterationOptions) -> IterationReport:
     d = body.dim
     rep = body.representation
     records = [_state_record(body, m=0, opts=opts, q=np.zeros((d, d)),
-                             gamma=1.0, ratio=math.nan, trunc_loss=0.0)]
+                             gamma=1.0, trunc_loss=0.0, l2_prev=math.nan)]
 
     def close(reason: str) -> IterationReport:
         ratios = [r.ratio for r in records[1:] if not math.isnan(r.ratio)]

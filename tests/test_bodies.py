@@ -14,6 +14,7 @@ from ibodylab import (
     ellipsoid_intersection_closed_form,
     intersection_body,
     radon_of_power,
+    radon_spectral,
     section_volume,
 )
 from helpers import ball_volume, random_even_s2, random_points_on_sphere, s2_body, zonal_body
@@ -228,6 +229,17 @@ def test_section_consistency_zonal():
         s = section_volume(body, direction)
         got = raw.profile.eval_at(np.array([ti]))[0]
         assert got == pytest.approx(s / ball_volume(3), rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_section_volume_integrates_the_full_power(d):
+    # rho^(d-1) has band (d-1)K; the subsphere rule must be exact up to it
+    band = 32
+    body = zonal_body(d, band, {k: 0.02 / (1.0 + k) ** 2 for k in range(2, band + 1, 2)})
+    ref = radon_spectral(body.profile.power(d - 1))
+    for t in (0.0, 0.3, 0.8):
+        want = ref.eval_at(np.array([t]))[0] * ball_volume(d - 1)
+        assert abs(section_volume(body, t) - want) <= 1e-12 * want
 
 
 def test_section_consistency_s2():

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ibodylab import (
     DivergenceError,
@@ -17,6 +18,7 @@ from ibodylab import (
     default_rule,
     fit_degree2_correction,
     iterate_step,
+    make_rng,
     radon_multiplier,
     run_iteration,
     sup_norm,
@@ -41,25 +43,51 @@ def test_fit_recovers_height_squared():
     assert np.max(np.abs(Q - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("rep", ["zonal", "s2"])
-def test_fit_pointwise_residual(rep):
+def _mean_zero_input(rep: str, band_limit: int, seed: int, d: int = 3):
+    """Random mean-zero profile with content in every degree up to the band."""
+    rng = make_rng(seed)
     if rep == "zonal":
-        f = random_even_zonal(5, 8, seed=23)
-        c = f.coeffs.copy()
+        c = rng.standard_normal(band_limit + 1)
         c[0] = 0.0
-        c[3:] = 0.0  # keep only the degree 2 part plus nothing else
-        phi = f.with_coeffs(c)
-    else:
-        g = random_even_s2(6, seed=23)
-        c = g.coeffs.copy()
-        c[0] = 0.0
-        c[9:] = 0.0
-        phi = S2Function.from_coeffs(c)
+        return ZonalProfile.from_coeffs(d, c)
+    c = rng.standard_normal((band_limit + 1) ** 2)
+    c[0] = 0.0
+    return S2Function.from_coeffs(c)
+
+
+def _degree_two_part(phi):
+    c = np.where(phi.degrees == 2, phi.coeffs, 0.0)
+    return phi.with_coeffs(c)
+
+
+def _check_fit(phi):
     Q = fit_degree2_correction(phi)
+    assert np.array_equal(Q, Q.T)
     assert abs(np.trace(Q)) <= 1e-12
-    assert np.max(np.abs(Q - Q.T)) <= 1e-14
-    resid = quadratic_form_profile(Q, phi)
-    assert np.max(np.abs(resid.coeffs - phi.coeffs)) <= 1e-10
+    form = quadratic_form_profile(Q, phi)
+    want = _degree_two_part(phi)
+    assert np.max(np.abs(form.coeffs - want.coeffs)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(3, 10), band_limit=st.integers(2, 24), seed=st.integers(0, 2**32 - 1))
+def test_fit_matches_degree_two_part_zonal(d, band_limit, seed):
+    phi = _mean_zero_input("zonal", band_limit, seed, d)
+    _check_fit(phi)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(band_limit=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_fit_matches_degree_two_part_s2(band_limit, seed):
+    phi = _mean_zero_input("s2", band_limit, seed)
+    _check_fit(phi)
+
+
+@pytest.mark.parametrize("rep", ["zonal", "s2"])
+def test_fit_is_exactly_zero_without_degree_two(rep):
+    phi = _mean_zero_input(rep, 8, seed=23, d=5)
+    phi = phi.with_coeffs(np.where(phi.degrees == 2, 0.0, phi.coeffs))
+    assert np.array_equal(fit_degree2_correction(phi), np.zeros((phi.dim, phi.dim)))
 
 
 def test_fit_rejects_nonzero_mean():
