@@ -31,8 +31,16 @@ def l2_norm(f) -> float:
 
 
 def _multiplier_values(m, kmax: int) -> np.ndarray:
+    """m(0..kmax): a callable is called once on the array of degrees, and
+    degree by degree when that raises or returns another shape."""
     if callable(m):
-        return np.array([float(m(k)) for k in range(kmax + 1)])
+        try:
+            vals = np.asarray(m(np.arange(kmax + 1)), dtype=float)
+        except (TypeError, ValueError):
+            vals = None
+        if vals is None or vals.shape != (kmax + 1,):
+            vals = np.array([float(m(k)) for k in range(kmax + 1)])
+        return vals
     arr = np.asarray(m, dtype=float)
     if arr.size < kmax + 1:
         raise ValueError(f"multiplier array too short for band limit {kmax}")
@@ -197,7 +205,9 @@ def _s2_grid_parts(f: S2Function, grid: S2Grid):
     dQ_lm/dtheta = (l x Q_lm - r_lm Q_{l-1,m}) / s, r_lm^2 = (2l+1)(l^2-m^2)
     / (2l-1), and Legendre's equation Q'' = -(x/s) Q' - (l(l+1) - m^2/s^2) Q
     give the colatitude derivatives from the per-order blocks of synthesis;
-    d/dphi multiplies order m by m and swaps cosine and sine.
+    d/dphi multiplies order m by m and swaps cosine and sine.  The sums
+    over longitude go about HESSIAN_BLOCK points (whole colatitude rows) at
+    a time, which bounds the memory of the derivative arrays.
     """
     L = f.band_limit
     q, cos_t, sin_t = _grid_tables(L, grid)
@@ -218,12 +228,18 @@ def _s2_grid_parts(f: S2Function, grid: S2Grid):
     c = -(x / s) * b - c + (m / s) ** 2 * a               # Legendre's equation
     lon_sum = lambda p: p[0] @ cos_t + p[1] @ sin_t
     d_phi = lambda p: np.stack((m * p[1], -m * p[0]))
-    f_t, f_tt = lon_sum(b), lon_sum(c)
-    f_p, f_tp, f_pp = lon_sum(d_phi(a)), lon_sum(d_phi(b)), lon_sum(d_phi(d_phi(a)))
-    g2 = f_p / s
-    h = _ambient_hessian_norm(f_t, g2, f_tt, (f_tp - x * g2) / s,
-                              f_pp / (s * s) + (x / s) * f_t)
-    return np.hypot(f_t, g2), h
+    gnorm, hnorm = np.empty((2,) + grid.weights.shape)
+    rows = max(1, HESSIAN_BLOCK // grid.n_phi)
+    for lo in range(0, grid.n_theta, rows):
+        blk = slice(lo, lo + rows)
+        ab, bb, xb, sb = a[:, blk], b[:, blk], x[blk], s[blk]
+        f_t, f_tt = lon_sum(bb), lon_sum(c[:, blk])
+        f_p, f_tp, f_pp = lon_sum(d_phi(ab)), lon_sum(d_phi(bb)), lon_sum(d_phi(d_phi(ab)))
+        g2 = f_p / sb
+        gnorm[blk] = np.hypot(f_t, g2)
+        hnorm[blk] = _ambient_hessian_norm(f_t, g2, f_tt, (f_tp - xb * g2) / sb,
+                                           f_pp / (sb * sb) + (xb / sb) * f_t)
+    return gnorm, hnorm
 
 
 CIRCLE_BLOCK = 1024  # points per batch of great circles in _s2_spectral_parts

@@ -8,13 +8,30 @@ spherical-harmonic spaces, so every per-degree operator used in this package
 coefficients computed here.
 
 Evaluation runs the symmetric three-term recurrence of the orthonormal
-family, which is stable to degrees in the hundreds; derivatives come from
-differentiating the same recurrence rather than from finite differences.
+family, which is stable to degrees in the hundreds; one private generator,
+`_basis_rows`, yields its rows Z_k(t) one degree at a time, and every value
+path reads it:
+
+* the basis table on a profile's storage rule (analysis and synthesis in
+  `from_values`/`from_coeffs`) and on its refined set (poles included, so
+  `refined_values` is one matrix-vector product) is built once per rule and
+  band limit, cached as `sphharm._grid_tables` is, and read-only; only
+  rules of the default storage order are cached, so the tables of a power
+  step's transient work rule are not kept;
+* `power(p)` streams the band-pK analysis on its work rule _POWER_BLOCK
+  rows at a time and never holds the whole (pK+1)-row table;
+* `eval_at` of a scalar height runs the recurrence in Python floats (the
+  sup-norm polish), of an array builds its table _CHUNK points at a time.
+
+Derivatives come from differentiating the same recurrence rather than from
+finite differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
 from typing import ClassVar
 
 import numpy as np
@@ -22,6 +39,7 @@ import numpy as np
 from .quadrature import REFINE, JacobiRule, gauss_jacobi_rule, recurrence_offdiag
 
 _CHUNK = 16384  # points per basis table in ZonalProfile.eval_at
+_POWER_BLOCK = 64  # basis rows per block of the streamed analysis in power
 
 
 def sphere_exponent(d: int) -> float:
@@ -43,17 +61,67 @@ def subsphere_rule(d: int, order: int) -> JacobiRule:
     return gauss_jacobi_rule(d, (d - 4) / 2.0, order)
 
 
+def _basis_rows(d: int, kmax: int, t):
+    """Yield Z_0(t), ..., Z_kmax(t) by the three-term recurrence.
+
+    `t` is a 1d array (rows are arrays) or a Python float (rows are Python
+    floats); both run the same arithmetic.
+    """
+    sb = recurrence_offdiag(sphere_exponent(d), kmax + 1).tolist()
+    cur = 1.0 if isinstance(t, float) else np.ones_like(t)
+    yield cur
+    if kmax >= 1:
+        prev, cur = cur, t / sb[0]
+        yield cur
+    for k in range(1, kmax):
+        # (t Z_k - b_k Z_(k-1)) / b_(k+1), with one temporary fewer
+        nxt = t * cur
+        nxt -= sb[k - 1] * prev
+        nxt /= sb[k]
+        prev, cur = cur, nxt
+        yield cur
+
+
 def zonal_basis_matrix(d: int, kmax: int, t: np.ndarray) -> np.ndarray:
     """Evaluate Z_0..Z_kmax at points t; returns shape (kmax + 1, t.size)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    sb = recurrence_offdiag(sphere_exponent(d), kmax + 1)
     out = np.empty((kmax + 1, t.size))
-    out[0] = 1.0
-    if kmax >= 1:
-        out[1] = t / sb[0]
-    for k in range(1, kmax):
-        out[k + 1] = (t * out[k] - sb[k - 1] * out[k - 1]) / sb[k]
+    for k, row in enumerate(_basis_rows(d, kmax, t)):
+        out[k] = row
     return out
+
+
+@lru_cache(maxsize=8)
+def _storage_table(rule: JacobiRule, kmax: int) -> np.ndarray:
+    """Z_0..Z_kmax on the nodes of a storage rule, shared and read-only."""
+    table = zonal_basis_matrix(rule.dim, kmax, rule.nodes)
+    table.setflags(write=False)
+    return table
+
+
+def _refined_heights(rule: JacobiRule) -> np.ndarray:
+    """The refined set of a storage rule: the Gauss rule REFINE times finer,
+    with the poles -1 and 1 added."""
+    fine = gauss_jacobi_rule(rule.dim, sphere_exponent(rule.dim), REFINE * rule.order)
+    return np.concatenate(([-1.0], fine.nodes, [1.0]))
+
+
+@lru_cache(maxsize=8)
+def _refined_table(rule: JacobiRule, kmax: int) -> np.ndarray:
+    """Z_0..Z_kmax on the refined set of a storage rule, shared and read-only."""
+    table = zonal_basis_matrix(rule.dim, kmax, _refined_heights(rule))
+    table.setflags(write=False)
+    return table
+
+
+def _table(build, rule: JacobiRule, kmax: int):
+    """`build(rule, kmax)`, cached when `rule` has the default storage order
+    2 kmax + 8, as the rules every step revisits do.  A power step's work
+    rule (order kmax + 8) is transient, so its tables are built per call
+    and not kept."""
+    if rule.order == 2 * kmax + 8:
+        return build(rule, kmax)
+    return build.__wrapped__(rule, kmax)
 
 
 def zonal_basis_derivatives(d: int, kmax: int, t: np.ndarray):
@@ -104,7 +172,7 @@ class ZonalProfile:
         values = np.asarray(values, dtype=float)
         if values.shape != rule.nodes.shape:
             raise ValueError("values do not match the rule's nodes")
-        basis = zonal_basis_matrix(d, band_limit, rule.nodes)
+        basis = _table(_storage_table, rule, band_limit)
         coeffs = basis @ (rule.weights * values)
         # re-synthesize so stored values are exactly the band-limited part
         return cls(d, band_limit, rule, basis.T @ coeffs, coeffs)
@@ -117,12 +185,16 @@ class ZonalProfile:
         if rule is None:
             rule = default_rule(d, band_limit)
         _check_rule(d, band_limit, rule)
-        basis = zonal_basis_matrix(d, band_limit, rule.nodes)
+        basis = _table(_storage_table, rule, band_limit)
         return cls(d, band_limit, rule, basis.T @ coeffs, coeffs)
 
     def eval_at(self, t) -> np.ndarray | float:
-        """f at heights t; the basis table is built _CHUNK points at a time."""
-        scalar = np.isscalar(t)
+        """f at heights t.  A scalar t runs the recurrence in Python floats
+        and returns a float; an array builds its basis table _CHUNK points
+        at a time."""
+        if np.isscalar(t):
+            rows = _basis_rows(self.dim, self.band_limit, float(t))
+            return sum(c * z for c, z in zip(self.coeffs.tolist(), rows))
         tt = np.atleast_1d(np.asarray(t, dtype=float))
         flat = tt.ravel()
         vals = np.empty(flat.size)
@@ -130,8 +202,7 @@ class ZonalProfile:
             block = flat[start:start + _CHUNK]
             vals[start:start + _CHUNK] = (
                 zonal_basis_matrix(self.dim, self.band_limit, block).T @ self.coeffs)
-        vals = vals.reshape(tt.shape)
-        return vals.item() if scalar else vals
+        return vals.reshape(tt.shape)
 
     def derivatives_at(self, t: np.ndarray):
         """(f, f', f'') with respect to t at the given points."""
@@ -155,10 +226,22 @@ class ZonalProfile:
             self.dim, coeffs, self.rule if coeffs.size == self.coeffs.size else None)
 
     def power(self, p: int) -> "ZonalProfile":
-        """f^p at band p K, sampled on a rule exact for its analysis."""
+        """f^p at band p K, sampled on a rule exact for its analysis.
+
+        The analysis streams the basis on the work rule _POWER_BLOCK rows
+        at a time, so the (pK+1)-row table is never held.
+        """
         d, k = self.dim, p * self.band_limit
         work = gauss_jacobi_rule(d, sphere_exponent(d), k + 8)
-        return ZonalProfile.from_values(d, k, self.eval_at(work.nodes) ** p, work)
+        wfp = work.weights * self.eval_at(work.nodes) ** p
+        coeffs = np.empty(k + 1)
+        values = np.zeros(work.order)
+        rows = _basis_rows(d, k, work.nodes)
+        for lo in range(0, k + 1, _POWER_BLOCK):
+            blk = np.array(list(islice(rows, _POWER_BLOCK)))
+            c = coeffs[lo:lo + len(blk)] = blk @ wfp
+            values += c @ blk
+        return ZonalProfile(d, k, work, values, coeffs)
 
     def energies(self) -> np.ndarray:
         """Per-degree energies e_k = coeffs[k]^2."""
@@ -167,13 +250,11 @@ class ZonalProfile:
     def refined_set(self) -> np.ndarray:
         """Heights of the dense evaluation set: the Gauss rule REFINE
         times finer than the storage rule, with the poles -1 and 1 added."""
-        fine = gauss_jacobi_rule(self.dim, sphere_exponent(self.dim),
-                                 REFINE * self.rule.order)
-        return np.concatenate(([-1.0], fine.nodes, [1.0]))
+        return _refined_heights(self.rule)
 
     def refined_values(self) -> np.ndarray:
-        """f on `refined_set`."""
-        return self.eval_at(self.refined_set())
+        """f on `refined_set`, one product with its basis table."""
+        return _table(_refined_table, self.rule, self.band_limit).T @ self.coeffs
 
 
 def _check_rule(d: int, band_limit: int, rule: JacobiRule) -> None:

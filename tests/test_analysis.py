@@ -1,5 +1,7 @@
 """Fourier multipliers and the norm estimators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,33 @@ def test_multiplier_mean_projector():
     g = apply_multiplier(f, lambda k: 1.0 if k == 0 else 0.0)
     assert g.coeffs[0] == f.coeffs[0]
     assert np.sum(np.abs(g.coeffs[1:])) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 4, 256])
+def test_smooth_cutoff_one_call_is_bitwise_per_degree(n):
+    f = random_even_zonal(3, 300, seed=n)
+    m, calls = smooth_cutoff(n), []
+
+    def counted(k):
+        calls.append(k)
+        return m(k)
+
+    g = apply_multiplier(f, counted)
+    assert len(calls) == 1
+    per_degree = np.array([float(m(k)) for k in range(301)])
+    assert np.array_equal(g.coeffs, f.coeffs * per_degree)
+
+
+def test_multiplier_falls_back_on_wrong_shape():
+    # a callable whose array answer has the wrong shape is asked per degree
+    f = random_even_zonal(3, 12, seed=4)
+
+    def halves(k):
+        k = np.asarray(k)
+        return 0.5 ** k if k.ndim == 0 else np.ones(k.size + 1)
+
+    g = apply_multiplier(f, halves)
+    assert np.array_equal(g.coeffs, f.coeffs * 0.5 ** np.arange(13))
 
 
 def test_multiplier_accepts_array():
@@ -246,6 +275,19 @@ def test_derivative_estimators_agree_s2():
     g_gc, h_gc = _s2_spectral_parts(f, grid.points().reshape(-1, 3))
     assert np.abs(g.ravel() - g_gc).max() <= 1e-12 * g_gc.max()
     assert np.abs(h.ravel() - h_gc).max() <= 1e-12 * h_gc.max()
+
+
+def test_s2_derivative_norms_memory():
+    # the grid path goes a block of colatitude rows at a time; holding the
+    # whole (545, 1089) refined grid's derivative arrays peaked at 74 MB
+    f = random_even_s2(64, seed=1)
+    tracemalloc.start()
+    try:
+        derivative_sup_norms(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_c2_norm_dominates_components():

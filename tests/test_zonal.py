@@ -1,5 +1,7 @@
 """Orthonormal zonal basis and the profile transform built on it."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from ibodylab import (
     ZonalProfile,
     default_rule,
     gauss_jacobi_rule,
+    make_rng,
     sphere_exponent,
     zonal_basis_matrix,
 )
+from ibodylab.zonal import _refined_table, _storage_table
 from helpers import random_even_zonal
 
 
@@ -104,3 +108,72 @@ def test_from_values_rejects_coarse_rule():
     rule = gauss_jacobi_rule(3, 0.0, 4)
     with pytest.raises(ValueError):
         ZonalProfile.from_values(3, 16, np.ones(4), rule)
+
+
+# ---------------------------------------------------------------------------
+# cached tables, the streamed power step and the scalar path
+
+def test_cached_tables_reject_writes():
+    f = random_even_zonal(4, 12, seed=8)
+    for arr in (_storage_table(f.rule, f.band_limit), _refined_table(f.rule, f.band_limit)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_work_rule_tables_are_not_kept():
+    # a power step's work rule is transient: analysis, synthesis and the
+    # refined set on it leave both caches untouched
+    g = random_even_zonal(5, 20, seed=9).power(4)
+    before = (_storage_table.cache_info(), _refined_table.cache_info())
+    h = ZonalProfile.from_values(5, g.band_limit, g.values, g.rule)
+    h.with_coeffs(h.coeffs).refined_values()
+    assert (_storage_table.cache_info(), _refined_table.cache_info()) == before
+    assert np.abs(h.refined_values() - h.eval_at(h.refined_set())).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_cached_tables_match_uncached_basis(d):
+    f = random_even_zonal(d, 40, seed=d)
+    direct = zonal_basis_matrix(d, 40, f.rule.nodes).T @ f.coeffs
+    assert np.abs(f.values - direct).max() <= 1e-14 * np.abs(direct).max()
+    want = f.eval_at(f.refined_set())
+    assert f.refined_set()[0] == -1.0 and f.refined_set()[-1] == 1.0
+    assert np.abs(f.refined_values() - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_streamed_power_matches_full_analysis(d):
+    # power(p) streams the band-pK analysis; the full table gives the same
+    p, k = d - 1, 24
+    f = random_even_zonal(d, k, seed=20 + d)
+    got = f.power(p)
+    work = gauss_jacobi_rule(d, sphere_exponent(d), p * k + 8)
+    want = ZonalProfile.from_values(d, p * k, f.eval_at(work.nodes) ** p, work)
+    assert got.rule is work and got.band_limit == p * k
+    assert np.abs(got.coeffs - want.coeffs).max() <= 1e-14 * np.abs(want.coeffs).max()
+    assert np.abs(got.values - want.values).max() <= 1e-14 * np.abs(want.values).max()
+
+
+def test_streamed_power_memory():
+    # the whole band-1536 table on the order-1544 work rule would be 19 MB
+    f = random_even_zonal(7, 256, seed=3)
+    gauss_jacobi_rule(7, sphere_exponent(7), 6 * 256 + 8)  # build the rule first
+    tracemalloc.start()
+    try:
+        f.power(6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
+@pytest.mark.parametrize("d", [3, 4, 7])
+def test_scalar_eval_matches_array_path(d):
+    f = random_even_zonal(d, 60, seed=30 + d)
+    ts = np.concatenate((make_rng(d).uniform(-1.0, 1.0, 20), [-1.0, 1.0]))
+    scale = np.abs(f.refined_values()).max()
+    arr = f.eval_at(ts)
+    for t, want in zip(ts, arr):
+        got = f.eval_at(t)
+        assert type(got) is float
+        assert abs(got - want) <= 1e-14 * scale
