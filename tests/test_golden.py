@@ -1,0 +1,84 @@
+"""Golden reports: every command at its defaults, plus three `iterate`
+variants, reproduces its committed report.csv cell by cell.
+
+Integers and strings (empty cells included) must match exactly, floats to
+1e-12 relative.  The error cells of the oracle commands hold roundoff, so
+they are checked against the tolerance of their own command instead.
+
+An intended output change regenerates the files in the same change, with
+`PYTHONPATH=src python tests/test_golden.py`; the diff then shows the
+moved cells.
+"""
+
+import math
+from pathlib import Path
+
+import pytest
+
+from ibodylab import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "eigen-check": ["eigen-check"],
+    "radon-oracle": ["radon-oracle"],
+    "ellipsoid-check": ["ellipsoid-check"],
+    "iterate": ["iterate"],
+    "multiplier-bound": ["multiplier-bound"],
+    "smoothing-gain": ["smoothing-gain"],
+    "cap-scaling": ["cap-scaling"],
+    "iterate-s2": ["iterate", "--representation", "s2"],
+    "iterate-geometric-d5": ["iterate", "--method", "geometric", "--dim", "5"],
+    "iterate-raw-power": ["iterate", "--raw-power", "--no-kill-h2"],
+}
+
+ERROR_TOLERANCES = {
+    "abs_error": cli.EIGEN_TOL,
+    "max_coeff_error": cli.ORACLE_TOL,
+    "rel_sup_error": cli.ELLIPSOID_TOL,
+}
+
+
+def _run(argv, out_dir: Path) -> str:
+    code = cli.main(argv + ["--out", str(out_dir)])
+    assert code == 0
+    return (out_dir / "report.csv").read_text()
+
+
+def _cell_matches(column: str, got: str, want: str) -> bool:
+    try:
+        return int(got) == int(want)
+    except ValueError:
+        pass
+    try:
+        g, w = float(got), float(want)
+    except ValueError:
+        return got == want
+    if column in ERROR_TOLERANCES:
+        return 0.0 <= g <= ERROR_TOLERANCES[column]
+    return math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case, tmp_path, capsys):
+    got = _run(CASES[case], tmp_path).splitlines()
+    capsys.readouterr()
+    want = (GOLDEN / f"{case}.csv").read_text().splitlines()
+    assert got[0] == want[0], "header changed"
+    assert len(got) == len(want), "row count changed"
+    header = want[0].split(",")
+    moved = [
+        (i, col, g, w)
+        for i, (grow, wrow) in enumerate(zip(got[1:], want[1:]), start=1)
+        for col, g, w in zip(header, grow.split(","), wrow.split(","), strict=True)
+        if not _cell_matches(col, g, w)
+    ]
+    assert not moved, f"cells moved (row, column, got, golden): {moved}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for name, argv in CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            (GOLDEN / f"{name}.csv").write_text(_run(argv, Path(tmp)))
