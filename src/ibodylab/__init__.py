@@ -17,7 +17,6 @@ from types import ModuleType as _ModuleType
 from .analysis import (
     apply_multiplier,
     approx_decay_norm,
-    c2_norm,
     cutoff_profile,
     derivative_sup_norms,
     l2_norm,
@@ -33,8 +32,6 @@ from .bodies import (
     ellipsoid_intersection_closed_form,
     intersection_body,
     radon_of_power,
-    section_volume,
-    sphere_area,
 )
 from .iteration import (
     CapScalingResult,

@@ -187,8 +187,8 @@ def _ambient_hessian_norm(g1, g2, h11, h12, h22) -> np.ndarray:
 
 
 def _zonal_hessian_parts(f: ZonalProfile, t: np.ndarray):
-    """(|grad|, operator norm of ambient Hessian) at zonal points t, from the
-    differentiated basis recurrence; the d - 2 azimuthal directions share
+    """(|grad|, operator norm of ambient Hessian) at zonal points t, from
+    `ZonalProfile.derivatives_at`; the d - 2 azimuthal directions share
     the eigenvalue cot(theta) f_theta = -t f'."""
     t = np.asarray(t, dtype=float)
     _, fp, fpp = f.derivatives_at(t)
@@ -281,8 +281,8 @@ def derivative_sup_norms(f) -> tuple[float, float]:
     """(sup |Df|, sup |D^2 f|) of the homogeneous extension of f, exact up
     to roundoff on the refined set.
 
-    Zonal profiles differentiate the basis recurrence and polish the best
-    node; S^2 functions differentiate the synthesis on the refined grid,
+    Zonal profiles take f' and f'' from `derivatives_at` and polish the
+    best node; S^2 functions differentiate the synthesis on the refined grid,
     and the poles go through the great-circle path.
     """
     if isinstance(f, ZonalProfile):
@@ -294,9 +294,3 @@ def derivative_sup_norms(f) -> tuple[float, float]:
     g, h = _s2_grid_parts(f, f.refined_grid())
     gp, hp = _s2_spectral_parts(f, _POLES)
     return float(max(g.max(), gp.max())), float(max(h.max(), hp.max()))
-
-
-def c2_norm(f) -> float:
-    """C^2 proxy: max of sup |f|, sup |Df|, sup |D^2 f|."""
-    d1, d2 = derivative_sup_norms(f)
-    return max(sup_norm(f), d1, d2)

@@ -13,14 +13,13 @@ which corresponds to replacing the body K by T^(-1) K.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .radon import radon_geometric_s2, radon_geometric_zonal, radon_multiplier
-from .sphharm import S2Function, default_s2_grid, tangent_frame
-from .zonal import ZonalProfile, default_rule, subsphere_rule
+from .sphharm import S2Function, default_s2_grid
+from .zonal import ZonalProfile, default_rule
 
 EVENNESS_TOL = 1e-12
 
@@ -32,11 +31,6 @@ class PositivityError(RuntimeError):
 def _strictly_positive(values) -> bool:
     # written as "min > 0" so that a NaN sample fails the check
     return bool(np.min(values) > 0.0)
-
-
-def sphere_area(n: int) -> float:
-    """Surface area of the unit sphere S^n in R^(n+1)."""
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,38 +195,6 @@ def intersection_body(body: StarBody, method: str = "spectral") -> StarBody:
     radon_of_power for the computation and the recorded metadata.
     """
     return radon_of_power(body, method=method, normalize=True)
-
-
-def section_volume(body: StarBody, direction) -> float:
-    """(d-1)-volume of the central hyperplane section orthogonal to the
-    direction, by direct polar quadrature over the subsphere.
-
-    For zonal bodies the direction may be given as its height t = <xi, axis>
-    (scalar) or as a d-vector; for s2 bodies it is a unit 3-vector.
-    """
-    d = body.dim
-    f = body.profile
-    if isinstance(f, ZonalProfile):
-        arr = np.asarray(direction, dtype=float)
-        if arr.ndim == 1 and arr.size == d:
-            t = float(arr[-1] / np.linalg.norm(arr))
-        else:
-            t = float(arr)
-        if not -1.0 <= t <= 1.0:
-            raise ValueError("zonal direction must be a height in [-1, 1]")
-        # exact for rho^(d-1), of band (d-1)K, with the geometric route's margin 8
-        sub = subsphere_rule(d, (d - 1) * f.band_limit + 8)
-        args = np.sqrt(max(1.0 - t * t, 0.0)) * sub.nodes
-        avg = float(f.eval_at(args) ** (d - 1) @ sub.weights)
-        return sphere_area(d - 2) / (d - 1) * avg
-    xi = np.asarray(direction, dtype=float)
-    xi = xi / np.linalg.norm(xi)
-    n = 2 * f.band_limit + 9
-    tau = 2.0 * np.pi * np.arange(n) / n
-    u, v = tangent_frame(xi)
-    circle = np.outer(np.cos(tau), u) + np.outer(np.sin(tau), v)
-    avg = float((f.eval_at_points(circle) ** 2).mean())
-    return sphere_area(1) / 2.0 * avg
 
 
 # ---------------------------------------------------------------------------

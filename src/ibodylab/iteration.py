@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import _ambient_hessian_norm, _decay_tail, c2_norm, l2_norm, sup_norm
+from .analysis import _ambient_hessian_norm, _decay_tail, l2_norm, sup_norm
 from .bodies import StarBody, apply_linear_map, radon_of_power
 from .sphharm import sh_index
 from .zonal import ZonalProfile
@@ -81,8 +81,8 @@ class IterationOptions:
 
     kill_h2 applies the degree-2 correction map before each power step;
     raw_power_mode runs the bare recursion instead (no correction, no
-    mean rescale).  track_decay_alpha and track_c2 add the corresponding
-    norms to every step record (off by default).
+    mean rescale).  track_decay_alpha adds the decay norm u_alpha to every
+    step record (off by default).
     """
     kill_h2: bool = True
     raw_power_mode: bool = False
@@ -90,7 +90,6 @@ class IterationOptions:
     stop_tol: float = 1e-12
     method: str = "spectral"
     track_decay_alpha: float | None = None
-    track_c2: bool = False
 
     def __post_init__(self):
         if self.max_steps < 1:
@@ -119,7 +118,6 @@ class StepRecord:
     min_radial: float
     max_radial: float
     u_alpha: float | None = None
-    c2: float | None = None
 
     @property
     def q_norm(self) -> float:
@@ -144,7 +142,6 @@ def _state_record(body: StarBody, m: int, opts: IterationOptions,
     if opts.track_decay_alpha is not None:
         # approx_decay_norm(dev, alpha), reusing the sup norm of the record
         u_alpha = max(sup, _decay_tail(dev, opts.track_decay_alpha))
-    c2 = c2_norm(body.profile) if opts.track_c2 else None
     l2 = l2_norm(dev)
     return StepRecord(
         m=m,
@@ -159,7 +156,6 @@ def _state_record(body: StarBody, m: int, opts: IterationOptions,
         min_radial=lo,
         max_radial=hi,
         u_alpha=u_alpha,
-        c2=c2,
     )
 
 

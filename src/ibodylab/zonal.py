@@ -23,8 +23,12 @@ path reads it:
 * `eval_at` of a scalar height runs the recurrence in Python floats (the
   sup-norm polish), of an array builds its table _CHUNK points at a time.
 
-Derivatives come from differentiating the same recurrence rather than from
-finite differences.
+Derivatives come from the same recurrence by a shift of dimension, never
+from finite differences: d/dx C_n^lam = 2 lam C_(n-1)^(lam+1) (DLMF
+18.9.19), and Z_k in dimension d is a multiple of C_k^((d-2)/2), so Z_k' in
+dimension d is kappa_d(k) Z_(k-1) in dimension d + 2, with
+kappa_d(k) = sqrt(d k (k + d - 2) / (d - 1)).  So f' and f'' are zonal
+series in dimensions d + 2 and d + 4.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 
 from .quadrature import REFINE, JacobiRule, gauss_jacobi_rule, recurrence_offdiag
 
-_CHUNK = 16384  # points per basis table in ZonalProfile.eval_at
+_CHUNK = 16384  # points per basis table in _series
 _POWER_BLOCK = 64  # basis rows per block of the streamed analysis in power
 
 
@@ -124,25 +128,22 @@ def _table(build, rule: JacobiRule, kmax: int):
     return build.__wrapped__(rule, kmax)
 
 
-def zonal_basis_derivatives(d: int, kmax: int, t: np.ndarray):
-    """(Z, Z', Z'') of the basis at points t, each shape (kmax + 1, t.size).
+def _series(d: int, coeffs: np.ndarray, t) -> np.ndarray:
+    """sum_k coeffs[k] Z_k(t) in dimension d at heights t of any shape; the
+    basis table is built _CHUNK points at a time."""
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    vals = np.empty(flat.size)
+    for start in range(0, flat.size, _CHUNK):
+        block = flat[start:start + _CHUNK]
+        vals[start:start + _CHUNK] = zonal_basis_matrix(d, coeffs.size - 1, block).T @ coeffs
+    return vals.reshape(t.shape)
 
-    Obtained by differentiating the three-term recurrence twice.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    sb = recurrence_offdiag(sphere_exponent(d), kmax + 1)
-    z = np.zeros((kmax + 1, t.size))
-    zp = np.zeros_like(z)
-    zpp = np.zeros_like(z)
-    z[0] = 1.0
-    if kmax >= 1:
-        z[1] = t / sb[0]
-        zp[1] = 1.0 / sb[0]
-    for k in range(1, kmax):
-        z[k + 1] = (t * z[k] - sb[k - 1] * z[k - 1]) / sb[k]
-        zp[k + 1] = (z[k] + t * zp[k] - sb[k - 1] * zp[k - 1]) / sb[k]
-        zpp[k + 1] = (2.0 * zp[k] + t * zpp[k] - sb[k - 1] * zpp[k - 1]) / sb[k]
-    return z, zp, zpp
+
+def _shift_factors(d: int, kmax: int) -> np.ndarray:
+    """kappa_d(1..kmax): Z_k' in dimension d is kappa_d(k) Z_(k-1) in d + 2."""
+    k = np.arange(1.0, kmax + 1)
+    return np.sqrt(d * k * (k + d - 2.0) / (d - 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,24 +196,17 @@ class ZonalProfile:
         if np.isscalar(t):
             rows = _basis_rows(self.dim, self.band_limit, float(t))
             return sum(c * z for c, z in zip(self.coeffs.tolist(), rows))
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        flat = tt.ravel()
-        vals = np.empty(flat.size)
-        for start in range(0, flat.size, _CHUNK):
-            block = flat[start:start + _CHUNK]
-            vals[start:start + _CHUNK] = (
-                zonal_basis_matrix(self.dim, self.band_limit, block).T @ self.coeffs)
-        return vals.reshape(tt.shape)
+        return _series(self.dim, self.coeffs, t)
 
-    def derivatives_at(self, t: np.ndarray):
-        """(f, f', f'') with respect to t at the given points."""
-        t = np.asarray(t, dtype=float)
-        z, zp, zpp = zonal_basis_derivatives(self.dim, self.band_limit, t.ravel())
-        return (
-            (z.T @ self.coeffs).reshape(t.shape),
-            (zp.T @ self.coeffs).reshape(t.shape),
-            (zpp.T @ self.coeffs).reshape(t.shape),
-        )
+    def derivatives_at(self, t):
+        """(f, f', f'') with respect to t at heights t of any shape: series
+        in dimensions d, d + 2 and d + 4 (see the module docstring).  A
+        derivative with no coefficients left (bands 0 and 1) is zero."""
+        d, k = self.dim, self.band_limit
+        c1 = self.coeffs[1:] * _shift_factors(d, k)
+        c2 = c1[1:] * _shift_factors(d + 2, k - 1)
+        return tuple(_series(d + 2 * i, c, t) if c.size else np.zeros(np.shape(t))
+                     for i, c in enumerate((self.coeffs, c1, c2)))
 
     @property
     def degrees(self) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Shared builders for randomized test inputs, and closed-form references.
+"""Shared builders for randomized test inputs, closed-form references, and
+the direct section-volume quadrature that checks `radon_of_power`.
 
 Everything random routes through make_rng so each test pins its own seed
 and reruns reproduce the same numbers bit for bit.
@@ -8,7 +9,8 @@ import math
 
 import numpy as np
 
-from ibodylab import S2Function, StarBody, ZonalProfile, make_rng, sh_degrees
+from ibodylab import S2Function, StarBody, ZonalProfile, make_rng, sh_degrees, subsphere_rule
+from ibodylab.sphharm import tangent_frame
 
 
 def random_even_zonal(d: int, band_limit: int, seed: int, decay: float = 1.0) -> ZonalProfile:
@@ -88,3 +90,40 @@ def even_moment(exponent: float, power: int) -> float:
 def ball_volume(n: int) -> float:
     """Volume of the unit ball in R^n."""
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+
+
+def sphere_area(n: int) -> float:
+    """Surface area of the unit sphere S^n in R^(n+1)."""
+    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+
+
+def section_volume(body: StarBody, direction) -> float:
+    """(d-1)-volume of the central hyperplane section orthogonal to the
+    direction, by direct polar quadrature over the subsphere.
+
+    For zonal bodies the direction may be given as its height t = <xi, axis>
+    (scalar) or as a d-vector; for s2 bodies it is a unit 3-vector.
+    """
+    d = body.dim
+    f = body.profile
+    if isinstance(f, ZonalProfile):
+        arr = np.asarray(direction, dtype=float)
+        if arr.ndim == 1 and arr.size == d:
+            t = float(arr[-1] / np.linalg.norm(arr))
+        else:
+            t = float(arr)
+        if not -1.0 <= t <= 1.0:
+            raise ValueError("zonal direction must be a height in [-1, 1]")
+        # exact for rho^(d-1), of band (d-1)K, with the geometric route's margin 8
+        sub = subsphere_rule(d, (d - 1) * f.band_limit + 8)
+        args = np.sqrt(max(1.0 - t * t, 0.0)) * sub.nodes
+        avg = float(f.eval_at(args) ** (d - 1) @ sub.weights)
+        return sphere_area(d - 2) / (d - 1) * avg
+    xi = np.asarray(direction, dtype=float)
+    xi = xi / np.linalg.norm(xi)
+    n = 2 * f.band_limit + 9
+    tau = 2.0 * np.pi * np.arange(n) / n
+    u, v = tangent_frame(xi)
+    circle = np.outer(np.cos(tau), u) + np.outer(np.sin(tau), v)
+    avg = float((f.eval_at_points(circle) ** 2).mean())
+    return sphere_area(1) / 2.0 * avg

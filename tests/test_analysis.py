@@ -10,7 +10,6 @@ from ibodylab import (
     ZonalProfile,
     apply_multiplier,
     approx_decay_norm,
-    c2_norm,
     cutoff_profile,
     derivative_sup_norms,
     l2_norm,
@@ -288,9 +287,3 @@ def test_s2_derivative_norms_memory():
     finally:
         tracemalloc.stop()
     assert peak < 50e6
-
-
-def test_c2_norm_dominates_components():
-    f = random_even_zonal(3, 10, seed=9)
-    d1, d2 = derivative_sup_norms(f)
-    assert c2_norm(f) == pytest.approx(max(sup_norm(f), d1, d2), rel=1e-12)

@@ -15,9 +15,15 @@ from ibodylab import (
     intersection_body,
     radon_of_power,
     radon_spectral,
-    section_volume,
 )
-from helpers import ball_volume, random_even_s2, random_points_on_sphere, s2_body, zonal_body
+from helpers import (
+    ball_volume,
+    random_even_s2,
+    random_points_on_sphere,
+    s2_body,
+    section_volume,
+    zonal_body,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ SURFACE = {
     "S2Function", "analyze_s2", "default_s2_grid", "eval_s2_at_points",
     "sh_degrees", "sh_index", "synthesize_s2",
     # norms and multipliers
-    "apply_multiplier", "approx_decay_norm", "c2_norm", "cutoff_profile",
+    "apply_multiplier", "approx_decay_norm", "cutoff_profile",
     "derivative_sup_norms", "l2_norm", "smooth_cutoff", "sup_norm",
     # the Radon transform
     "SmoothingGainResult", "radon_coefficient", "radon_geometric_s2",
@@ -133,7 +133,7 @@ SURFACE = {
     # bodies and the operator
     "PositivityError", "StarBody", "apply_linear_map", "ball_body",
     "ellipsoid_body", "ellipsoid_intersection_closed_form",
-    "intersection_body", "radon_of_power", "section_volume", "sphere_area",
+    "intersection_body", "radon_of_power",
     # the iteration and its experiments
     "CapScalingResult", "DivergenceError", "IterationOptions",
     "IterationReport", "StepRecord", "cap_scaling_exponents",
@@ -143,7 +143,7 @@ SURFACE = {
 
 
 def test_package_exports_exactly_the_audited_surface():
-    assert len(SURFACE) == 51
+    assert len(SURFACE) == 48
     assert set(ibodylab.__all__) == SURFACE
 
 
@@ -166,7 +166,6 @@ KNOBS = {
     "IterationOptions.kill_h2", "IterationOptions.raw_power_mode",
     "IterationOptions.max_steps", "IterationOptions.stop_tol",
     "IterationOptions.method", "IterationOptions.track_decay_alpha",
-    "IterationOptions.track_c2",
 }
 
 
@@ -190,7 +189,7 @@ def test_optional_parameters_are_exactly_the_audited_knobs():
                     found += _defaulted(fn, f"{name}.{attr}")
     found += [f"IterationOptions.{f.name}"
               for f in dataclasses.fields(ibodylab.IterationOptions)]
-    assert len(KNOBS) == 24
+    assert len(KNOBS) == 23
     assert sorted(found) == sorted(KNOBS)
 
 
