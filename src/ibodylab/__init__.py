@@ -47,7 +47,6 @@ from .iteration import (
 from .quadrature import JacobiRule, S2Grid, gauss_jacobi_rule, s2_grid
 from .radon import (
     SmoothingGainResult,
-    radon_coefficient,
     radon_geometric_s2,
     radon_geometric_zonal,
     radon_multiplier,

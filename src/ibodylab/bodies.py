@@ -14,6 +14,7 @@ which corresponds to replacing the body K by T^(-1) K.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,11 +29,6 @@ class PositivityError(RuntimeError):
     """Raised when a radial function fails strict positivity."""
 
 
-def _strictly_positive(values) -> bool:
-    # written as "min > 0" so that a NaN sample fails the check
-    return bool(np.min(values) > 0.0)
-
-
 @dataclass(frozen=True, eq=False)
 class StarBody:
     """Band-limited origin-symmetric star body with strictly positive radial."""
@@ -42,7 +38,8 @@ class StarBody:
 
     def __post_init__(self):
         vals = self.profile.values
-        if not _strictly_positive(vals):
+        # written as "not min > 0" so that a NaN sample fails the check
+        if not np.min(vals) > 0.0:
             raise PositivityError(
                 f"radial function not strictly positive (min = {float(np.min(vals)):.3e})"
             )
@@ -58,6 +55,13 @@ class StarBody:
     @property
     def dim(self) -> int:
         return self.profile.dim
+
+    @cached_property
+    def radial_range(self) -> tuple[float, float]:
+        """(min, max) of the radial function on the profile's refined set,
+        measured at first use and kept on the body."""
+        vals = self.profile.refined_values()
+        return float(vals.min()), float(vals.max())
 
     @property
     def band_limit(self) -> int:
@@ -158,7 +162,7 @@ def radon_of_power(body: StarBody, method: str = "spectral",
     normalize=True the output is rescaled to surface mean 1 and the mean
     it had before rescaling is recorded in meta["mean_power"]; with
     normalize=False the raw transform is returned.  Raises PositivityError
-    if the result is not a star body.
+    (from `StarBody`) if the result is not a star body.
     """
     if method not in ("spectral", "geometric"):
         raise ValueError(f"unknown method {method!r}")
@@ -175,16 +179,10 @@ def radon_of_power(body: StarBody, method: str = "spectral",
         out_ext = out_ext / mean_power
     kept = pe.degrees <= body.band_limit
     lost = float(np.sqrt((out_ext[~kept] ** 2).sum()))
-    prof = body.profile.with_coeffs(out_ext[kept])
-    if not _strictly_positive(prof.values):
-        raise PositivityError(
-            "intersection body has a nonpositive radial function; "
-            "the input is too far from the ball for this band limit"
-        )
-    meta = {"trunc_loss": lost, "method": method}
+    meta = {"trunc_loss": lost}
     if normalize:
         meta["mean_power"] = mean_power
-    return StarBody(prof, meta=meta)
+    return StarBody(body.profile.with_coeffs(out_ext[kept]), meta=meta)
 
 
 def intersection_body(body: StarBody, method: str = "spectral") -> StarBody:
@@ -211,12 +209,11 @@ def _check_spd(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _ellipsoid_profile(a: np.ndarray, band_limit: int, representation: str | None):
-    """Band-limited projection of x -> 1/|a x| with recorded projection error."""
+def _ellipsoid_profile(a: np.ndarray, band_limit: int):
+    """Band-limited projection of x -> 1/|a x| with recorded projection error:
+    an S2Function for d = 3, a ZonalProfile otherwise."""
     d = a.shape[0]
-    if representation is None:
-        representation = "s2" if d == 3 else "zonal"
-    if representation == "zonal":
+    if d != 3:
         try:
             aa, bb = _axis_form(a)
         except ValueError as exc:
@@ -224,8 +221,6 @@ def _ellipsoid_profile(a: np.ndarray, band_limit: int, representation: str | Non
         radial = lambda t: 1.0 / np.sqrt(aa * aa * (1.0 - t * t) + bb * bb * t * t)
         rule = default_rule(d, band_limit)
         prof = ZonalProfile.from_values(d, band_limit, radial(rule.nodes), rule)
-    elif d != 3:
-        raise ValueError("s2 representation requires d = 3")
     else:
         radial = lambda x: 1.0 / np.linalg.norm(x @ a.T, axis=-1)
         grid = default_s2_grid(band_limit)
@@ -235,19 +230,19 @@ def _ellipsoid_profile(a: np.ndarray, band_limit: int, representation: str | Non
     return prof, err
 
 
-def ellipsoid_body(a, band_limit: int = 32, representation: str | None = None) -> StarBody:
+def ellipsoid_body(a, band_limit: int = 32) -> StarBody:
     """The ellipsoid {x : |a^(-1) x| <= 1} (image of the ball under a),
-    radial function 1/|a^(-1) xi|, projected to the band limit."""
+    radial function 1/|a^(-1) xi|, projected to the band limit: on S^2 for
+    d = 3, zonal (a = diag(a, ..., a, b)) otherwise."""
     a = _check_spd(a)
-    prof, err = _ellipsoid_profile(np.linalg.inv(a), band_limit, representation)
+    prof, err = _ellipsoid_profile(np.linalg.inv(a), band_limit)
     return StarBody(prof, meta={"projection_error": err})
 
 
-def ellipsoid_intersection_closed_form(a, band_limit: int = 32,
-                                       representation: str | None = None) -> StarBody:
+def ellipsoid_intersection_closed_form(a, band_limit: int = 32) -> StarBody:
     """Exact (mean-normalized) intersection body of the ellipsoid above:
     radial function proportional to 1/|a xi|."""
     a = _check_spd(a)
-    prof, err = _ellipsoid_profile(a, band_limit, representation)
+    prof, err = _ellipsoid_profile(a, band_limit)
     return StarBody(prof.with_coeffs(prof.coeffs / prof.coeffs[0]),
                     meta={"projection_error": err})

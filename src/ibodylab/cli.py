@@ -66,20 +66,15 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config plumbing
 
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated integer list, got {text!r}") from exc
-
-
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated number list, got {text!r}") from exc
+def _parse_list(convert, noun: str):
+    """Flag type of a comma-separated list of `convert` values."""
+    def parse(text: str) -> list:
+        try:
+            return [convert(p) for p in text.split(",") if p.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated {noun} list, got {text!r}") from exc
+    return parse
 
 
 def _parse_perturb(text: str) -> dict[int, float]:
@@ -157,8 +152,9 @@ _KINDS = {
     "count": (int, lambda v: _is_int(v) and v >= 1, "a positive integer"),
     "dim": (int, lambda v: _is_int(v) and v >= 3, "an integer >= 3"),
     "float": (float, _is_finite, "a finite number"),
-    "ints": (_parse_ints, _non_empty_list_of(_is_int), "a non-empty list of integers"),
-    "floats": (_parse_floats, _non_empty_list_of(_is_finite),
+    "ints": (_parse_list(int, "integer"), _non_empty_list_of(_is_int),
+             "a non-empty list of integers"),
+    "floats": (_parse_list(float, "number"), _non_empty_list_of(_is_finite),
                "a non-empty list of finite numbers"),
     "str": (None, lambda v: isinstance(v, str), "a string"),
     "bool": (None, lambda v: isinstance(v, bool), "true or false"),

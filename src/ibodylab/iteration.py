@@ -105,16 +105,22 @@ class IterationOptions:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Telemetry for one state of the run (m = 0 is the starting body)."""
+    """Telemetry for one state of the run (m = 0 is the starting body).
+
+    l2 and sup are the norms of rho - 1; q_matrix is the degree-2
+    correction the step applied (zero at m = 0 and in raw mode); gamma is
+    the output rescale; ratio is l2 over that of the step's input (NaN at
+    m = 0); trunc_loss is the coefficient mass cut by truncation;
+    min_radial and max_radial are the state's `StarBody.radial_range`;
+    u_alpha is the decay norm when tracked.
+    """
     m: int
     l2: float
     sup: float
-    energies: np.ndarray
     q_matrix: np.ndarray
     gamma: float
     ratio: float
     trunc_loss: float
-    mean_radial: float
     min_radial: float
     max_radial: float
     u_alpha: float | None = None
@@ -124,19 +130,13 @@ class StepRecord:
         return float(np.linalg.norm(self.q_matrix, 2))
 
 
-def _radial_range(body: StarBody) -> tuple[float, float]:
-    vals = body.profile.refined_values()
-    return float(vals.min()), float(vals.max())
-
-
 def _state_record(body: StarBody, m: int, opts: IterationOptions,
                   q: np.ndarray, gamma: float, trunc_loss: float,
                   l2_prev: float) -> StepRecord:
     """Record of the state `body`; its ratio is its L2 deviation over
     l2_prev, the L2 deviation of the step's input (NaN for the start)."""
-    mean = float(np.asarray(body.profile.coeffs)[0])
     dev = _deviation(body.profile)
-    lo, hi = _radial_range(body)
+    lo, hi = body.radial_range
     sup = sup_norm(dev)
     u_alpha = None
     if opts.track_decay_alpha is not None:
@@ -147,12 +147,10 @@ def _state_record(body: StarBody, m: int, opts: IterationOptions,
         m=m,
         l2=l2,
         sup=sup,
-        energies=dev.energies(),
         q_matrix=q,
         gamma=gamma,
         ratio=l2 / l2_prev if l2_prev > 0.0 else math.nan,
         trunc_loss=trunc_loss,
-        mean_radial=mean,
         min_radial=lo,
         max_radial=hi,
         u_alpha=u_alpha,
@@ -178,31 +176,28 @@ def iterate_step(body: StarBody, opts: IterationOptions) -> tuple[StarBody, Step
     is the L2 deviation of the output over that of the input.
     """
     d = body.dim
-    q = np.zeros((d, d))
-    gamma = 1.0
-    if opts.raw_power_mode:
-        out = radon_of_power(body, method=opts.method, normalize=False)
-    else:
+    corrected = not opts.raw_power_mode
+    if corrected:
         body = _rescaled_to_mean_one(body)
-        lo, hi = _radial_range(body)
+        lo, hi = body.radial_range
         if max(abs(lo - 1.0), abs(hi - 1.0)) >= 0.5:
             raise ValueError(
                 "the radial function deviates from 1 by 1/2 or more; "
                 "the corrected step is only defined near the ball")
-        work = body
-        if opts.kill_h2:
-            q = fit_degree2_correction(_deviation(body.profile))
-            q_norm = float(np.linalg.norm(q, 2))
-            if q_norm >= 0.5:
-                raise ValueError(
-                    f"correction norm {q_norm:.3f} is not below 1/2")
-            if q_norm > 0.0:
-                work = apply_linear_map(body, np.eye(d) + q)
-        out = radon_of_power(work, method=opts.method, normalize=True)
-        gamma = 1.0 / out.meta["mean_power"]
+    dev = _deviation(body.profile)
+    q = np.zeros((d, d))
+    work = body
+    if corrected and opts.kill_h2:
+        q = fit_degree2_correction(dev)
+        q_norm = float(np.linalg.norm(q, 2))
+        if q_norm >= 0.5:
+            raise ValueError(f"correction norm {q_norm:.3f} is not below 1/2")
+        if q_norm > 0.0:
+            work = apply_linear_map(body, np.eye(d) + q)
+    out = radon_of_power(work, method=opts.method, normalize=corrected)
+    gamma = 1.0 / out.meta["mean_power"] if corrected else 1.0
     rec = _state_record(out, m=-1, opts=opts, q=q, gamma=gamma,
-                        trunc_loss=out.meta["trunc_loss"],
-                        l2_prev=l2_norm(_deviation(body.profile)))
+                        trunc_loss=out.meta["trunc_loss"], l2_prev=l2_norm(dev))
     return out, rec
 
 

@@ -21,24 +21,10 @@ from .sphharm import S2Function, _grid_tables, _order_sums, tangent_frame
 from .zonal import ZonalProfile, subsphere_rule
 
 
-def radon_coefficient(d: int, k: int) -> float:
-    """Magnitude v(d, k) of the transform's action on degree-k harmonics.
-
-    v(d, 0) = 1 and v(d, k) = v(d, k-2) (k-1)/(d+k-3) for even k; the signed
-    multiplier is (-1)^(k/2) v(d, k).  Odd degrees are rejected: the
-    transform annihilates them.
-    """
-    if int(d) != d or d < 3:
-        raise ValueError(f"sphere dimension must be an integer >= 3, got {d}")
-    if int(k) != k or k < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {k}")
-    if k % 2 == 1:
-        raise ValueError("odd degrees are annihilated; no eigenvalue is defined")
-    return float(abs(radon_multiplier(d, k)[k]))
-
-
 def radon_multiplier(d: int, kmax: int) -> np.ndarray:
-    """Signed per-degree multipliers for degrees 0..kmax (0 at odd degrees)."""
+    """Signed per-degree multipliers (-1)^(k/2) v(d, k) for degrees 0..kmax,
+    with v(d, 0) = 1 and v(d, k) = v(d, k-2) (k-1)/(d+k-3) for even k; odd
+    degrees, which the transform annihilates, get 0."""
     out = np.zeros(kmax + 1)
     out[0] = 1.0
     v = 1.0

@@ -53,6 +53,17 @@ def test_radial_is_even():
     assert np.max(np.abs(body.radial_eval(pts) - body.radial_eval(-pts))) <= 1e-12
 
 
+@pytest.mark.parametrize("rep", ["zonal", "s2"])
+def test_radial_range_is_measured_once_on_the_refined_set(rep):
+    body = s2_body(10, seed=3, scale=0.1) if rep == "s2" else zonal_body(
+        5, 12, {2: 0.05, 4: -0.02})
+    lo, hi = body.radial_range
+    assert body.radial_range is body.radial_range
+    vals = body.profile.refined_values()
+    assert (lo, hi) == (float(vals.min()), float(vals.max()))
+    assert lo < 1.0 < hi
+
+
 def test_rejects_nonpositive_radial():
     c = np.zeros(3)
     c[0], c[2] = 1.0, 1.0  # dips negative near the equator
@@ -276,9 +287,9 @@ def test_identity_ellipsoid_is_ball():
 
 def test_axis_aligned_ellipsoid_zonal():
     # semiaxes are the diagonal entries: rho(x) = 1/|A^{-1} x|, a function of
-    # the height t alone when the semiaxes are (a, a, b)
-    body = ellipsoid_body(np.diag([1.1, 1.1, 0.9]), representation="zonal")
-    assert body.representation == "zonal"
+    # the height t alone when the semiaxes are (a, ..., a, b); zonal for d != 3
+    body = ellipsoid_body(np.diag([1.1, 1.1, 1.1, 0.9]))
+    assert body.representation == "zonal" and body.dim == 4
     t = np.linspace(-1.0, 1.0, 100)
     want = 1.0 / np.sqrt((1.0 - t**2) / 1.1**2 + t**2 / 0.9**2)
     assert np.max(np.abs(body.radial_eval(t) - want)) <= 1e-9

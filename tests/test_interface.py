@@ -127,9 +127,8 @@ SURFACE = {
     "apply_multiplier", "approx_decay_norm", "cutoff_profile",
     "derivative_sup_norms", "l2_norm", "smooth_cutoff", "sup_norm",
     # the Radon transform
-    "SmoothingGainResult", "radon_coefficient", "radon_geometric_s2",
-    "radon_geometric_zonal", "radon_multiplier", "radon_spectral",
-    "smoothing_gain_experiment",
+    "SmoothingGainResult", "radon_geometric_s2", "radon_geometric_zonal",
+    "radon_multiplier", "radon_spectral", "smoothing_gain_experiment",
     # bodies and the operator
     "PositivityError", "StarBody", "apply_linear_map", "ball_body",
     "ellipsoid_body", "ellipsoid_intersection_closed_form",
@@ -143,7 +142,7 @@ SURFACE = {
 
 
 def test_package_exports_exactly_the_audited_surface():
-    assert len(SURFACE) == 48
+    assert len(SURFACE) == 47
     assert set(ibodylab.__all__) == SURFACE
 
 
@@ -153,9 +152,7 @@ def test_package_exports_exactly_the_audited_surface():
 # acceptance criterion 7 sets it, and that gate is fixed.
 KNOBS = {
     "ball_body(representation)",
-    "ellipsoid_body(band_limit)", "ellipsoid_body(representation)",
-    "ellipsoid_intersection_closed_form(band_limit)",
-    "ellipsoid_intersection_closed_form(representation)",
+    "ellipsoid_body(band_limit)", "ellipsoid_intersection_closed_form(band_limit)",
     "intersection_body(method)",
     "radon_of_power(method)", "radon_of_power(normalize)",
     "cap_scaling_exponents(widths)", "cap_scaling_exponents(resolution)",
@@ -189,7 +186,7 @@ def test_optional_parameters_are_exactly_the_audited_knobs():
                     found += _defaulted(fn, f"{name}.{attr}")
     found += [f"IterationOptions.{f.name}"
               for f in dataclasses.fields(ibodylab.IterationOptions)]
-    assert len(KNOBS) == 23
+    assert len(KNOBS) == 21
     assert sorted(found) == sorted(KNOBS)
 
 

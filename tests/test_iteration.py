@@ -23,7 +23,13 @@ from ibodylab import (
     run_iteration,
     sup_norm,
 )
-from helpers import quadratic_form_profile, random_even_s2, random_even_zonal, zonal_body
+from helpers import (
+    quadratic_form_profile,
+    random_even_s2,
+    random_even_zonal,
+    s2_body,
+    zonal_body,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +306,25 @@ def test_tracked_norms_stay_sane():
     rep = run_iteration(_mix_body(3), opts)
     for rec in rep.records:
         assert rec.u_alpha is not None and np.isfinite(rec.u_alpha)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_s2_run_synthesizes_the_refined_grid_twice_per_state(steps, monkeypatch):
+    # a state's radial range is measured once, for its record, and the next
+    # step's guard reads it back from the body; the record's sup norm of
+    # rho - 1 is the one other refined synthesis of each state
+    body = s2_body(8, seed=41, scale=0.01)
+    calls = []
+    real = S2Function.refined_values
+
+    def counted(self):
+        calls.append(self.band_limit)
+        return real(self)
+
+    monkeypatch.setattr(S2Function, "refined_values", counted)
+    rep = run_iteration(body, IterationOptions(max_steps=steps))
+    assert len(rep.records) == steps + 1
+    assert len(calls) == 2 + 2 * steps
 
 
 def test_options_validation():
