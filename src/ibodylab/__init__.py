@@ -31,7 +31,6 @@ from .bodies import (
     ellipsoid_body,
     ellipsoid_intersection_closed_form,
     intersection_body,
-    radon_of_power,
 )
 from .iteration import (
     CapScalingResult,

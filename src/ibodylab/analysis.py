@@ -30,29 +30,16 @@ def l2_norm(f) -> float:
     return float(np.sqrt(f.energies().sum()))
 
 
-def _multiplier_values(m, kmax: int) -> np.ndarray:
-    """m(0..kmax): a callable is called once on the array of degrees, and
-    degree by degree when that raises or returns another shape."""
-    if callable(m):
-        try:
-            vals = np.asarray(m(np.arange(kmax + 1)), dtype=float)
-        except (TypeError, ValueError):
-            vals = None
-        if vals is None or vals.shape != (kmax + 1,):
-            vals = np.array([float(m(k)) for k in range(kmax + 1)])
-        return vals
-    arr = np.asarray(m, dtype=float)
-    if arr.size < kmax + 1:
-        raise ValueError(f"multiplier array too short for band limit {kmax}")
-    return arr[:kmax + 1]
-
-
 def apply_multiplier(f, m):
     """Multiply the degree-k coefficients by m(k); exact in coefficient space.
 
-    `m` may be a callable or an array indexed by degree.
+    `m` is called once, on the array of degrees 0..K, and must return one
+    value per degree.
     """
-    vals = _multiplier_values(m, f.band_limit)
+    vals = np.asarray(m(np.arange(f.band_limit + 1)), dtype=float)
+    if vals.shape != (f.band_limit + 1,):
+        raise ValueError(f"multiplier returned shape {vals.shape}, "
+                         f"expected ({f.band_limit + 1},)")
     return f.with_coeffs(f.coeffs * vals[f.degrees])
 
 

@@ -5,7 +5,8 @@ in one of the two representations.  The intersection-body operator sends rho
 to the normalized subsphere average of rho^(d-1); with the unit-mass Radon
 normalization used here the unit ball is an exact fixed point, and outputs
 are rescaled to surface mean 1 so that iterations live in the quotient by
-dilations.
+dilations.  `intersection_body` is the one operator: it records the mean it
+divided by, so the raw transform R(rho^(d-1)) is that mean times its output.
 
 The GL(d) action on radial functions is (T f)(x) = f(Tx/|Tx|) / |Tx|,
 which corresponds to replacing the body K by T^(-1) K.
@@ -71,13 +72,6 @@ class StarBody:
     def representation(self) -> str:
         return self.profile.representation
 
-    def radial_eval(self, arg):
-        """Radial function: at heights t for zonal bodies, at unit points
-        (..., 3) for s2 bodies."""
-        if isinstance(self.profile, ZonalProfile):
-            return self.profile.eval_at(arg)
-        return self.profile.eval_at_points(arg)
-
 
 def ball_body(d: int, band_limit: int, representation: str = "zonal") -> StarBody:
     """The unit ball, rho = 1."""
@@ -117,18 +111,16 @@ def _axis_form(m: np.ndarray) -> tuple[float, float]:
     return float(diag[0]), float(diag[-1])
 
 
-def apply_linear_map(f, T):
-    """The action (T f)(x) = f(Tx/|Tx|) / |Tx| on radial functions.
+def apply_linear_map(body: StarBody, T) -> StarBody:
+    """The action (T f)(x) = f(Tx/|Tx|) / |Tx| on the body's radial function.
 
-    Accepts a ZonalProfile, an S2Function, or a StarBody (acted on through
-    its profile).  For a zonal profile T must have the axis-fixing form
-    diag(a, ..., a, b); a general invertible 3x3 matrix is accepted for s2
-    functions.  The result is re-analyzed at the same band limit (the
-    action does not preserve band-limitedness exactly; the discarded tail
-    is O(|T - I|) times the top-band content for maps near the identity).
+    For a zonal profile T must have the axis-fixing form diag(a, ..., a, b);
+    a general invertible 3x3 matrix is accepted on S^2.  The result is
+    re-analyzed at the same band limit (the action does not preserve
+    band-limitedness exactly; the discarded tail is O(|T - I|) times the
+    top-band content for maps near the identity).
     """
-    if isinstance(f, StarBody):
-        return StarBody(apply_linear_map(f.profile, T), meta=dict(f.meta))
+    f = body.profile
     m = _as_matrix(T)
     if isinstance(f, ZonalProfile):
         if m.shape[0] != f.dim:
@@ -137,32 +129,34 @@ def apply_linear_map(f, T):
         t = f.rule.nodes
         stretch = np.sqrt(a * a * (1.0 - t * t) + b * b * t * t)
         vals = f.eval_at(b * t / stretch) / stretch
-        return ZonalProfile.from_values(f.dim, f.band_limit, vals, f.rule)
-    if m.shape[0] != 3:
-        raise ValueError("s2 functions require 3x3 maps")
-    pts = f.grid.points().reshape(-1, 3)
-    mapped = pts @ m.T
-    norms = np.linalg.norm(mapped, axis=1)
-    vals = f.eval_at_points(mapped / norms[:, None]) / norms
-    return S2Function.from_values(f.band_limit, vals.reshape(f.grid.weights.shape), f.grid)
+        out = ZonalProfile.from_values(f.dim, f.band_limit, vals, f.rule)
+    else:
+        if m.shape[0] != 3:
+            raise ValueError("s2 functions require 3x3 maps")
+        pts = f.grid.points().reshape(-1, 3)
+        mapped = pts @ m.T
+        norms = np.linalg.norm(mapped, axis=1)
+        vals = f.eval_at_points(mapped / norms[:, None]) / norms
+        out = S2Function.from_values(f.band_limit, vals.reshape(f.grid.weights.shape), f.grid)
+    return StarBody(out, meta=dict(body.meta))
 
 
 # ---------------------------------------------------------------------------
 # intersection-body operator
 
-def radon_of_power(body: StarBody, method: str = "spectral",
-                   normalize: bool = True) -> StarBody:
-    """Transform of the radial power: R(rho^(d-1)), the intersection-body
-    map up to scale.
+def intersection_body(body: StarBody, method: str = "spectral") -> StarBody:
+    """Image of the body under the intersection-body map, mean-normalized.
 
-    The power is formed on a quadrature set exact for its degree,
-    transformed (spectrally by default, or by subsphere quadrature with
-    method="geometric"), and truncated back to the body's band limit with
-    the discarded coefficient mass recorded in meta["trunc_loss"].  With
-    normalize=True the output is rescaled to surface mean 1 and the mean
-    it had before rescaling is recorded in meta["mean_power"]; with
-    normalize=False the raw transform is returned.  Raises PositivityError
-    (from `StarBody`) if the result is not a star body.
+    The power rho^(d-1) is formed on a quadrature set exact for its
+    degree, transformed (spectrally by default, or by subsphere quadrature
+    with method="geometric"), rescaled to surface mean 1, and truncated
+    back to the body's band limit.  meta["mean_power"] is the mean of the
+    raw transform R(rho^(d-1)) before the rescale, so the raw transform is
+    mean_power times the output; meta["trunc_loss"] is the coefficient
+    mass the truncation discarded.  Shape only: the true section volumes
+    carry an extra constant factor that mean normalization removes (the
+    ball maps to the ball).  Raises PositivityError (from `StarBody`) if
+    the result is not a star body.
     """
     if method not in ("spectral", "geometric"):
         raise ValueError(f"unknown method {method!r}")
@@ -175,24 +169,11 @@ def radon_of_power(body: StarBody, method: str = "spectral",
     else:
         out_ext = radon_geometric_s2(pe).coeffs
     mean_power = float(out_ext[0])
-    if normalize:
-        out_ext = out_ext / mean_power
+    out_ext = out_ext / mean_power
     kept = pe.degrees <= body.band_limit
     lost = float(np.sqrt((out_ext[~kept] ** 2).sum()))
-    meta = {"trunc_loss": lost}
-    if normalize:
-        meta["mean_power"] = mean_power
-    return StarBody(body.profile.with_coeffs(out_ext[kept]), meta=meta)
-
-
-def intersection_body(body: StarBody, method: str = "spectral") -> StarBody:
-    """Image of the body under the intersection-body map, mean-normalized.
-
-    Shape only: the true section volumes carry an extra constant factor
-    that mean normalization removes (the ball maps to the ball).  See
-    radon_of_power for the computation and the recorded metadata.
-    """
-    return radon_of_power(body, method=method, normalize=True)
+    return StarBody(body.profile.with_coeffs(out_ext[kept]),
+                    meta={"trunc_loss": lost, "mean_power": mean_power})
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ One step of the scheme maps a mean-1 star body rho = 1 + phi through
 
 where Q is the traceless symmetric map whose quadratic form matches the
 degree-2 component of phi (removing the neutral mode of the linearized
-transform) and gamma rescales the output to surface mean 1.  A raw mode
-runs the bare recursion rho -> R(rho^(d-1)) with no correction and no
-rescale, which lets the mean drift inside the expected power envelope.
+transform) and gamma rescales the output to surface mean 1; the operator
+`bodies.intersection_body` is that rescaled transform.  A raw mode runs the
+bare recursion rho -> R(rho^(d-1)) with no correction and no rescale (the
+operator's output times the mean it divided by), which lets the mean drift
+inside the expected power envelope.
 
 The module also provides the cap family scaling experiment for the sup
 and gradient norms against the L2 norm.
@@ -22,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import _ambient_hessian_norm, _decay_tail, l2_norm, sup_norm
-from .bodies import StarBody, apply_linear_map, radon_of_power
+from .bodies import StarBody, apply_linear_map, intersection_body
 from .sphharm import sh_index
 from .zonal import ZonalProfile
 
@@ -194,8 +196,14 @@ def iterate_step(body: StarBody, opts: IterationOptions) -> tuple[StarBody, Step
             raise ValueError(f"correction norm {q_norm:.3f} is not below 1/2")
         if q_norm > 0.0:
             work = apply_linear_map(body, np.eye(d) + q)
-    out = radon_of_power(work, method=opts.method, normalize=corrected)
-    gamma = 1.0 / out.meta["mean_power"] if corrected else 1.0
+    out = intersection_body(work, method=opts.method)
+    mean_power = out.meta["mean_power"]
+    gamma = 1.0 / mean_power
+    if not corrected:
+        # the raw transform R(rho^(d-1)) is mean_power times the operator
+        out = StarBody(out.profile.with_coeffs(mean_power * out.profile.coeffs),
+                       meta={"trunc_loss": mean_power * out.meta["trunc_loss"]})
+        gamma = 1.0
     rec = _state_record(out, m=-1, opts=opts, q=q, gamma=gamma,
                         trunc_loss=out.meta["trunc_loss"], l2_prev=l2_norm(dev))
     return out, rec

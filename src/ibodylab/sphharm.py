@@ -15,7 +15,7 @@ matrix-vector product per order, so point evaluation needs O(L N) memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -171,7 +171,8 @@ _POLES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
 
 @dataclass(frozen=True, eq=False)
 class S2Function:
-    """Band-limited function on S^2: grid samples + flat coefficients.
+    """Band-limited function on S^2: flat coefficients on a storage grid;
+    `values`, the grid samples, are synthesized at first read and kept.
 
     Shares its interface with `ZonalProfile` (dim, representation, values,
     coeffs, degrees, with_coeffs, power, energies, refined_set and
@@ -184,7 +185,6 @@ class S2Function:
 
     band_limit: int
     grid: S2Grid
-    values: np.ndarray
     coeffs: np.ndarray
 
     @classmethod
@@ -192,8 +192,7 @@ class S2Function:
                     grid: S2Grid | None = None) -> "S2Function":
         if grid is None:
             grid = default_s2_grid(band_limit)
-        coeffs = analyze_s2(band_limit, values, grid)
-        return cls(band_limit, grid, synthesize_s2(coeffs, grid), coeffs)
+        return cls(band_limit, grid, analyze_s2(band_limit, values, grid))
 
     @classmethod
     def from_coeffs(cls, coeffs: np.ndarray, grid: S2Grid | None = None) -> "S2Function":
@@ -201,7 +200,13 @@ class S2Function:
         band_limit = _band_limit(coeffs)
         if grid is None:
             grid = default_s2_grid(band_limit)
-        return cls(band_limit, grid, synthesize_s2(coeffs, grid), coeffs)
+        return cls(band_limit, grid, coeffs)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Grid samples of the band-limited function, synthesized at first
+        read."""
+        return synthesize_s2(self.coeffs, self.grid)
 
     @property
     def degrees(self) -> np.ndarray:

@@ -12,16 +12,18 @@ family, which is stable to degrees in the hundreds; one private generator,
 `_basis_rows`, yields its rows Z_k(t) one degree at a time, and every value
 path reads it:
 
-* the basis table on a profile's storage rule (analysis and synthesis in
-  `from_values`/`from_coeffs`) and on its refined set (poles included, so
-  `refined_values` is one matrix-vector product) is built once per rule and
-  band limit, cached as `sphharm._grid_tables` is, and read-only; only
-  rules of the default storage order are cached, so the tables of a power
-  step's transient work rule are not kept;
+* the basis table on a profile's storage rule (analysis in `from_values`,
+  synthesis of `values` at first read) and on its refined set (poles
+  included, so `refined_values` is one matrix-vector product) is built
+  once per rule and band limit, cached as `sphharm._grid_tables` is, and
+  read-only; only rules of the default storage order are cached, so the
+  tables of a power step's transient work rule are not kept;
 * `power(p)` streams the band-pK analysis on its work rule _POWER_BLOCK
-  rows at a time and never holds the whole (pK+1)-row table;
+  rows at a time and never holds the whole (pK+1)-row table (its output's
+  samples, if ever read, are synthesized then);
 * `eval_at` of a scalar height runs the recurrence in Python floats (the
-  sup-norm polish), of an array builds its table _CHUNK points at a time.
+  sup-norm polish), of an array builds its table in chunks of at most
+  _CHUNK points and of at most a band-256 table's size.
 
 Derivatives come from the same recurrence by a shift of dimension, never
 from finite differences: d/dx C_n^lam = 2 lam C_(n-1)^(lam+1) (DLMF
@@ -34,7 +36,7 @@ series in dimensions d + 2 and d + 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from typing import ClassVar
 
@@ -42,7 +44,7 @@ import numpy as np
 
 from .quadrature import REFINE, JacobiRule, gauss_jacobi_rule, recurrence_offdiag
 
-_CHUNK = 16384  # points per basis table in _series
+_CHUNK = 16384  # points per basis table in _series, up to band 256
 _POWER_BLOCK = 64  # basis rows per block of the streamed analysis in power
 
 
@@ -130,13 +132,15 @@ def _table(build, rule: JacobiRule, kmax: int):
 
 def _series(d: int, coeffs: np.ndarray, t) -> np.ndarray:
     """sum_k coeffs[k] Z_k(t) in dimension d at heights t of any shape; the
-    basis table is built _CHUNK points at a time."""
+    basis table is built _CHUNK points at a time up to band 256, and in
+    chunks no larger than that band-256 table above it."""
     t = np.asarray(t, dtype=float)
     flat = t.ravel()
     vals = np.empty(flat.size)
-    for start in range(0, flat.size, _CHUNK):
-        block = flat[start:start + _CHUNK]
-        vals[start:start + _CHUNK] = zonal_basis_matrix(d, coeffs.size - 1, block).T @ coeffs
+    chunk = min(_CHUNK, _CHUNK * 257 // coeffs.size)
+    for start in range(0, flat.size, chunk):
+        block = flat[start:start + chunk]
+        vals[start:start + chunk] = zonal_basis_matrix(d, coeffs.size - 1, block).T @ coeffs
     return vals.reshape(t.shape)
 
 
@@ -148,9 +152,10 @@ def _shift_factors(d: int, kmax: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ZonalProfile:
-    """Band-limited zonal function: values on a quadrature rule + coefficients.
+    """Band-limited zonal function: coefficients on a quadrature rule.
 
-    Values and coefficients are kept in sync; `coeffs[k]` multiplies Z_k.
+    `coeffs[k]` multiplies Z_k; `values`, the samples on the rule's nodes,
+    are synthesized from them at first read and kept.
     Shares its interface with `S2Function` (dim, representation, values,
     coeffs, degrees, with_coeffs, power, energies, refined_set and
     refined_values); points are heights t in [-1, 1].
@@ -161,7 +166,6 @@ class ZonalProfile:
     dim: int
     band_limit: int
     rule: JacobiRule
-    values: np.ndarray
     coeffs: np.ndarray
 
     @classmethod
@@ -173,10 +177,8 @@ class ZonalProfile:
         values = np.asarray(values, dtype=float)
         if values.shape != rule.nodes.shape:
             raise ValueError("values do not match the rule's nodes")
-        basis = _table(_storage_table, rule, band_limit)
-        coeffs = basis @ (rule.weights * values)
-        # re-synthesize so stored values are exactly the band-limited part
-        return cls(d, band_limit, rule, basis.T @ coeffs, coeffs)
+        coeffs = _table(_storage_table, rule, band_limit) @ (rule.weights * values)
+        return cls(d, band_limit, rule, coeffs)
 
     @classmethod
     def from_coeffs(cls, d: int, coeffs: np.ndarray,
@@ -186,13 +188,18 @@ class ZonalProfile:
         if rule is None:
             rule = default_rule(d, band_limit)
         _check_rule(d, band_limit, rule)
-        basis = _table(_storage_table, rule, band_limit)
-        return cls(d, band_limit, rule, basis.T @ coeffs, coeffs)
+        return cls(d, band_limit, rule, coeffs)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """f on the rule's nodes: the band-limited part, synthesized from
+        the coefficients at first read."""
+        return _table(_storage_table, self.rule, self.band_limit).T @ self.coeffs
 
     def eval_at(self, t) -> np.ndarray | float:
         """f at heights t.  A scalar t runs the recurrence in Python floats
-        and returns a float; an array builds its basis table _CHUNK points
-        at a time."""
+        and returns a float; an array builds its basis table a bounded
+        chunk of points at a time (see `_series`)."""
         if np.isscalar(t):
             rows = _basis_rows(self.dim, self.band_limit, float(t))
             return sum(c * z for c, z in zip(self.coeffs.tolist(), rows))
@@ -229,13 +236,11 @@ class ZonalProfile:
         work = gauss_jacobi_rule(d, sphere_exponent(d), k + 8)
         wfp = work.weights * self.eval_at(work.nodes) ** p
         coeffs = np.empty(k + 1)
-        values = np.zeros(work.order)
         rows = _basis_rows(d, k, work.nodes)
         for lo in range(0, k + 1, _POWER_BLOCK):
             blk = np.array(list(islice(rows, _POWER_BLOCK)))
-            c = coeffs[lo:lo + len(blk)] = blk @ wfp
-            values += c @ blk
-        return ZonalProfile(d, k, work, values, coeffs)
+            coeffs[lo:lo + len(blk)] = blk @ wfp
+        return ZonalProfile(d, k, work, coeffs)
 
     def energies(self) -> np.ndarray:
         """Per-degree energies e_k = coeffs[k]^2."""

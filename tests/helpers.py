@@ -1,5 +1,6 @@
 """Shared builders for randomized test inputs, closed-form references, and
-the direct section-volume quadrature that checks `radon_of_power`.
+the direct section-volume quadrature that checks `intersection_body` (its
+output times meta["mean_power"] is the raw transform R(rho^(d-1))).
 
 Everything random routes through make_rng so each test pins its own seed
 and reruns reproduce the same numbers bit for bit.
@@ -9,7 +10,15 @@ import math
 
 import numpy as np
 
-from ibodylab import S2Function, StarBody, ZonalProfile, make_rng, sh_degrees, subsphere_rule
+from ibodylab import (
+    S2Function,
+    StarBody,
+    ZonalProfile,
+    make_rng,
+    sh_degrees,
+    subsphere_rule,
+    sup_norm,
+)
 from ibodylab.sphharm import tangent_frame
 
 
@@ -39,18 +48,24 @@ def zonal_body(d: int, band_limit: int, pert: dict[int, float]) -> StarBody:
     return StarBody(ZonalProfile.from_coeffs(d, coeffs))
 
 
-def s2_body(band_limit: int, seed: int, scale: float, decay: float = 1.5) -> StarBody:
-    """Ball plus a random even perturbation scaled to sup norm `scale`."""
-    from ibodylab import sup_norm
-
-    phi = random_even_s2(band_limit, seed, decay)
+def _ball_plus(phi, scale: float) -> StarBody:
+    """Ball plus the mean-free part of phi scaled to sup norm `scale`."""
     coeffs = phi.coeffs.copy()
     coeffs[0] = 0.0
-    phi = S2Function.from_coeffs(coeffs)
-    s = sup_norm(phi)
-    coeffs = coeffs * (scale / s)
+    coeffs = coeffs * (scale / sup_norm(phi.with_coeffs(coeffs)))
     coeffs[0] = 1.0
-    return StarBody(S2Function.from_coeffs(coeffs))
+    return StarBody(phi.with_coeffs(coeffs))
+
+
+def s2_body(band_limit: int, seed: int, scale: float, decay: float = 1.5) -> StarBody:
+    """Ball plus a random even perturbation scaled to sup norm `scale`."""
+    return _ball_plus(random_even_s2(band_limit, seed, decay), scale)
+
+
+def random_zonal_body(d: int, band_limit: int, seed: int, scale: float,
+                      decay: float = 1.0) -> StarBody:
+    """Ball plus a random even zonal perturbation scaled to sup norm `scale`."""
+    return _ball_plus(random_even_zonal(d, band_limit, seed, decay), scale)
 
 
 def random_points_on_sphere(n: int, dim: int, seed: int) -> np.ndarray:

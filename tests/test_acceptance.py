@@ -83,8 +83,8 @@ def test_criterion_04_ellipsoid_closed_form():
     got = intersection_body(ellipsoid_body(A))
     want = ellipsoid_intersection_closed_form(A)
     pts = random_points_on_sphere(500, 3, seed=44)
-    g = got.radial_eval(pts)
-    w = want.radial_eval(pts)
+    g = got.profile.eval_at_points(pts)
+    w = want.profile.eval_at_points(pts)
     rel = float(np.max(np.abs(g - w) / np.abs(w)))
     print(f"criterion 4: relative sup error {rel:.3e} (bound 1e-6)")
     assert rel <= 1e-6

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ibodylab import (
     PositivityError,
@@ -13,13 +14,14 @@ from ibodylab import (
     ellipsoid_body,
     ellipsoid_intersection_closed_form,
     intersection_body,
-    radon_of_power,
     radon_spectral,
+    zonal_basis_matrix,
 )
 from helpers import (
     ball_volume,
     random_even_s2,
     random_points_on_sphere,
+    random_zonal_body,
     s2_body,
     section_volume,
     zonal_body,
@@ -34,23 +36,24 @@ def test_ball_radial_is_one():
     t = np.linspace(-1.0, 1.0, 41)
     for d in (3, 4, 7):
         b = ball_body(d, 8)
-        assert np.max(np.abs(b.radial_eval(t) - 1.0)) <= 1e-14
+        assert np.max(np.abs(b.profile.eval_at(t) - 1.0)) <= 1e-14
     bs = ball_body(3, 8, representation="s2")
     pts = random_points_on_sphere(50, 3, seed=1)
-    assert np.max(np.abs(bs.radial_eval(pts) - 1.0)) <= 1e-13
+    assert np.max(np.abs(bs.profile.eval_at_points(pts) - 1.0)) <= 1e-13
 
 
 def test_radial_eval_matches_coefficient_synthesis():
     body = zonal_body(3, 8, {2: 0.05, 4: -0.02})
     t = np.linspace(-1.0, 1.0, 100)
-    want = body.profile.eval_at(t)
-    assert np.max(np.abs(body.radial_eval(t) - want)) <= 1e-13
+    want = zonal_basis_matrix(3, 8, t).T @ body.profile.coeffs
+    assert np.max(np.abs(body.profile.eval_at(t) - want)) <= 1e-13
 
 
 def test_radial_is_even():
     body = s2_body(10, seed=3, scale=0.1)
     pts = random_points_on_sphere(100, 3, seed=6)
-    assert np.max(np.abs(body.radial_eval(pts) - body.radial_eval(-pts))) <= 1e-12
+    f = body.profile
+    assert np.max(np.abs(f.eval_at_points(pts) - f.eval_at_points(-pts))) <= 1e-12
 
 
 @pytest.mark.parametrize("rep", ["zonal", "s2"])
@@ -115,7 +118,7 @@ def test_linear_image_of_ball_closed_form():
     out = apply_linear_map(body, A)
     pts = random_points_on_sphere(200, 3, seed=8)
     want = 1.0 / np.linalg.norm(pts @ A.T, axis=1)
-    assert np.max(np.abs(out.radial_eval(pts) - want)) <= 1e-10
+    assert np.max(np.abs(out.profile.eval_at_points(pts) - want)) <= 1e-10
 
 
 def test_zonal_map_must_preserve_axis():
@@ -169,8 +172,8 @@ def test_ellipsoid_law_d3():
     got = intersection_body(ellipsoid_body(A))
     want = ellipsoid_intersection_closed_form(A)
     pts = random_points_on_sphere(400, 3, seed=10)
-    g = got.radial_eval(pts)
-    w = want.radial_eval(pts)
+    g = got.profile.eval_at_points(pts)
+    w = want.profile.eval_at_points(pts)
     assert np.max(np.abs(g - w) / np.abs(w)) <= 1e-6
 
 
@@ -179,6 +182,30 @@ def test_operator_routes_agree():
     a = intersection_body(body, method="spectral")
     b = intersection_body(body, method="geometric")
     assert np.max(np.abs(a.profile.coeffs - b.profile.coeffs)) <= 1e-8
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(d=st.sampled_from([3, 4, 5, 7]), band_limit=st.integers(2, 32),
+       seed=st.integers(0, 2**32 - 1))
+def test_operator_routes_agree_zonal_property(d, band_limit, seed):
+    body = random_zonal_body(d, band_limit, seed, scale=0.1)
+    a = intersection_body(body, method="spectral")
+    b = intersection_body(body, method="geometric")
+    assert np.max(np.abs(a.profile.coeffs - b.profile.coeffs)) <= 1e-8
+    assert abs(a.meta["mean_power"] - b.meta["mean_power"]) <= 1e-8
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from([(3, "zonal"), (4, "zonal"), (5, "zonal"), (7, "zonal"),
+                             (3, "s2")]),
+       band_limit=st.integers(0, 32), method=st.sampled_from(["spectral", "geometric"]))
+def test_ball_is_fixed_under_both_routes_property(case, band_limit, method):
+    d, rep = case
+    out = intersection_body(ball_body(d, band_limit, rep), method=method)
+    dev = out.profile.coeffs.copy()
+    dev[0] -= 1.0
+    assert np.max(np.abs(dev)) <= 1e-12
+    assert abs(out.meta["mean_power"] - 1.0) <= 1e-12
 
 
 def test_operator_preserves_evenness_and_positivity():
@@ -197,12 +224,14 @@ def test_gl_equivariance_s2():
     T = np.eye(3) + Q / np.linalg.norm(Q, 2) * 1e-3
     body = s2_body(16, seed=16, scale=0.05)
     det = abs(np.linalg.det(T))
-    lhs = radon_of_power(apply_linear_map(body, T), normalize=False).profile.coeffs
-    rhs_body = apply_linear_map(radon_of_power(body, normalize=False), np.linalg.inv(T).T)
-    assert np.max(np.abs(lhs - rhs_body.profile.coeffs / det)) <= 1e-5
+    out_l = intersection_body(apply_linear_map(body, T))
+    out_r = intersection_body(body)
+    nl = out_l.profile.coeffs
+    nr = apply_linear_map(out_r, np.linalg.inv(T).T).profile.coeffs
+    # the raw transform is mean_power times the operator's output
+    lhs, rhs = out_l.meta["mean_power"] * nl, out_r.meta["mean_power"] * nr
+    assert np.max(np.abs(lhs - rhs / det)) <= 1e-5
     # the mean-normalized operator sees the same body on both sides
-    nl = intersection_body(apply_linear_map(body, T)).profile.coeffs
-    nr = apply_linear_map(intersection_body(body), np.linalg.inv(T).T).profile.coeffs
     assert np.max(np.abs(nl - nr / nr[0])) <= 1e-5
 
 
@@ -210,9 +239,11 @@ def test_gl_equivariance_zonal_axis_map():
     T = np.diag([1.0005, 1.0005, 1.0005, 0.999])
     det = abs(np.linalg.det(T))
     body = zonal_body(4, 12, {4: 0.03})
-    lhs = radon_of_power(apply_linear_map(body, T), normalize=False).profile.coeffs
-    rhs_body = apply_linear_map(radon_of_power(body, normalize=False), np.linalg.inv(T).T)
-    assert np.max(np.abs(lhs - rhs_body.profile.coeffs / det)) <= 1e-5
+    out_l = intersection_body(apply_linear_map(body, T))
+    out_r = intersection_body(body)
+    lhs = out_l.meta["mean_power"] * out_l.profile.coeffs
+    rhs = out_r.meta["mean_power"] * apply_linear_map(out_r, np.linalg.inv(T).T).profile.coeffs
+    assert np.max(np.abs(lhs - rhs / det)) <= 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +271,11 @@ def test_section_consistency_zonal():
     # raw transform of rho^{d-1} is the section volume divided by the volume
     # of the unit (d-1)-ball; body chosen so rho^{d-1} stays inside the band
     body = zonal_body(4, 12, {4: 0.05})
-    raw = radon_of_power(body, normalize=False)
+    out = intersection_body(body)
     for ti in (0.0, 0.6):
         direction = np.array([np.sqrt(1 - ti * ti), 0.0, 0.0, ti])
         s = section_volume(body, direction)
-        got = raw.profile.eval_at(np.array([ti]))[0]
+        got = out.meta["mean_power"] * out.profile.eval_at(np.array([ti]))[0]
         assert got == pytest.approx(s / ball_volume(3), rel=1e-9)
 
 
@@ -266,13 +297,13 @@ def test_section_consistency_s2():
     degs = np.repeat(np.arange(17), 2 * np.arange(17) + 1)
     c[degs > 8] = 0.0
     body = StarBody(S2Function.from_coeffs(c))
-    raw = radon_of_power(body, normalize=False)
+    out = intersection_body(body)
     pts = random_points_on_sphere(20, 3, seed=18)
     sections = np.array([section_volume(body, p) for p in pts])
-    got = raw.radial_eval(pts)
+    got = out.meta["mean_power"] * out.profile.eval_at_points(pts)
     want = sections / np.pi
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
-    assert raw.meta["trunc_loss"] <= 1e-12
+    assert out.meta["mean_power"] * out.meta["trunc_loss"] <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +323,7 @@ def test_axis_aligned_ellipsoid_zonal():
     assert body.representation == "zonal" and body.dim == 4
     t = np.linspace(-1.0, 1.0, 100)
     want = 1.0 / np.sqrt((1.0 - t**2) / 1.1**2 + t**2 / 0.9**2)
-    assert np.max(np.abs(body.radial_eval(t) - want)) <= 1e-9
+    assert np.max(np.abs(body.profile.eval_at(t) - want)) <= 1e-9
 
 
 def test_spd_ellipsoid_band32_truncation():
@@ -318,9 +349,10 @@ def test_ellipsoid_rejects_bad_matrix():
         ellipsoid_body(M)
 
 
-def test_radon_of_power_meta():
+def test_intersection_body_meta():
     body = zonal_body(3, 8, {2: 0.05})
-    out = radon_of_power(body)
+    out = intersection_body(body)
     assert "trunc_loss" in out.meta
+    assert "mean_power" in out.meta
     with pytest.raises(ValueError):
-        radon_of_power(body, method="magic")
+        intersection_body(body, method="magic")

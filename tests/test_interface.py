@@ -56,6 +56,16 @@ def test_with_coeffs_keeps_the_rule_or_grid(f):
     assert np.max(np.abs(g.values - 2.0 * f.values)) <= 1e-13
 
 
+def test_values_are_synthesized_at_first_read(f):
+    # profiles store coefficients; samples on the rule or grid are built
+    # when first read and kept, so a profile nobody samples never builds them
+    assert "values" not in vars(f)
+    v = f.values
+    assert f.values is v and v.shape == _storage(f).weights.shape
+    for g in (f.with_coeffs(f.coeffs), f.power(2)):
+        assert "values" not in vars(g)
+
+
 def test_energies_sum_squares_per_degree(f):
     want = np.bincount(f.degrees, weights=f.coeffs**2, minlength=f.band_limit + 1)
     assert np.array_equal(f.energies(), want)
@@ -132,7 +142,7 @@ SURFACE = {
     # bodies and the operator
     "PositivityError", "StarBody", "apply_linear_map", "ball_body",
     "ellipsoid_body", "ellipsoid_intersection_closed_form",
-    "intersection_body", "radon_of_power",
+    "intersection_body",
     # the iteration and its experiments
     "CapScalingResult", "DivergenceError", "IterationOptions",
     "IterationReport", "StepRecord", "cap_scaling_exponents",
@@ -142,7 +152,7 @@ SURFACE = {
 
 
 def test_package_exports_exactly_the_audited_surface():
-    assert len(SURFACE) == 47
+    assert len(SURFACE) == 46
     assert set(ibodylab.__all__) == SURFACE
 
 
@@ -154,7 +164,6 @@ KNOBS = {
     "ball_body(representation)",
     "ellipsoid_body(band_limit)", "ellipsoid_intersection_closed_form(band_limit)",
     "intersection_body(method)",
-    "radon_of_power(method)", "radon_of_power(normalize)",
     "cap_scaling_exponents(widths)", "cap_scaling_exponents(resolution)",
     "smoothing_gain_experiment(decay)", "smoothing_gain_experiment(band_limit)",
     "smoothing_gain_experiment(tail_indices)",
@@ -186,7 +195,7 @@ def test_optional_parameters_are_exactly_the_audited_knobs():
                     found += _defaulted(fn, f"{name}.{attr}")
     found += [f"IterationOptions.{f.name}"
               for f in dataclasses.fields(ibodylab.IterationOptions)]
-    assert len(KNOBS) == 21
+    assert len(KNOBS) == 19
     assert sorted(found) == sorted(KNOBS)
 
 

@@ -20,6 +20,7 @@ from ibodylab import (
     iterate_step,
     make_rng,
     radon_multiplier,
+    radon_spectral,
     run_iteration,
     sup_norm,
 )
@@ -27,6 +28,7 @@ from helpers import (
     quadratic_form_profile,
     random_even_s2,
     random_even_zonal,
+    random_zonal_body,
     s2_body,
     zonal_body,
 )
@@ -281,6 +283,24 @@ def test_raw_power_divergence_guard():
     assert rep.stopped_reason == "diverged"
     assert len(rep.records) >= 2
     assert rep.records[-1].l2 > rep.records[-2].l2
+
+
+@pytest.mark.parametrize("rep,d,band_limit", [("zonal", 3, 24), ("zonal", 5, 24), ("s2", 3, 8)])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_raw_step_is_the_truncated_transform_of_the_power(rep, d, band_limit, seed):
+    # raw mode scales the mean-normalized operator back by the mean it
+    # divided by; that must reproduce R(rho^(d-1)) truncated to the band
+    body = (s2_body(band_limit, seed, scale=0.2) if rep == "s2"
+            else random_zonal_body(d, band_limit, seed, scale=0.2))
+    out, rec = iterate_step(body, IterationOptions(raw_power_mode=True))
+    full = radon_spectral(body.profile.power(d - 1))
+    kept = full.degrees <= band_limit
+    want = full.coeffs[kept]
+    assert np.max(np.abs(out.profile.coeffs - want)) <= 1e-15 * np.abs(want).max()
+    assert rec.gamma == 1.0
+    tail = float(np.sqrt((full.coeffs[~kept] ** 2).sum()))
+    assert abs(rec.trunc_loss - tail) <= 1e-14 * tail
 
 
 def test_divergence_guard_sees_nan(monkeypatch):

@@ -197,6 +197,20 @@ def test_streamed_power_memory():
     assert peak < 6e6
 
 
+def test_eval_at_memory_is_bounded_at_high_band():
+    # a 16 384-point chunk of the band-768 table alone would be 101 MB;
+    # chunks shrink above band 256 so the table stays at its band-256 size
+    f = random_even_zonal(3, 768, seed=4)
+    t = make_rng(4).uniform(-1.0, 1.0, 20000)
+    tracemalloc.start()
+    try:
+        f.eval_at(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
 @pytest.mark.parametrize("d", [3, 4, 7])
 def test_scalar_eval_matches_array_path(d):
     f = random_even_zonal(d, 60, seed=30 + d)
