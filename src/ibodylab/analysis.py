@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .quadrature import S2Grid
-from .sphharm import _POLES, S2Function, _grid_tables, _order_slots, tangent_frame
+from .sphharm import S2Function, _grid_tables, _order_slots
 from .zonal import ZonalProfile
 
 
@@ -229,39 +229,18 @@ def _s2_grid_parts(f: S2Function, grid: S2Grid):
     return gnorm, hnorm
 
 
-CIRCLE_BLOCK = 1024  # points per batch of great circles in _s2_spectral_parts
-
-
-def _s2_spectral_parts(f: S2Function, pts: np.ndarray):
-    """Exact great-circle differentiation (trig-polynomial DFT) at unit points.
-
-    Restricted to a great circle through x a band-L function is a degree-L
-    trigonometric polynomial, so derivatives at the point are exact up to
-    roundoff.  Serves the two poles of the refined set, where the grid path
-    has no frame, and is the independent cross-check of that path.  Points
-    go CIRCLE_BLOCK at a time to bound the memory of the circles.
-    """
-    M = 2 * f.band_limit + 9
-    s = 2.0 * np.pi * np.arange(M) / M
-    cs, sn = np.cos(s)[:, None, None], np.sin(s)[:, None, None]
-    m = np.arange(M // 2 + 1)[1:, None]
-    gnorm, hnorm = np.empty((2, len(pts)))
-
-    def circle_derivs(x, w):
-        vals = f.eval_at_points(cs * x + sn * w)           # (M, n)
-        F = np.fft.rfft(vals, axis=0)[1:] / M
-        return (-2.0 * F.imag * m).sum(axis=0), (-2.0 * F.real * m * m).sum(axis=0)
-
-    for lo in range(0, len(pts), CIRCLE_BLOCK):
-        x = pts[lo:lo + CIRCLE_BLOCK]
-        u, v = tangent_frame(x)
-        du, huu = circle_derivs(x, u)
-        dv, hvv = circle_derivs(x, v)
-        _, hdiag = circle_derivs(x, (u + v) / np.sqrt(2.0))
-        huv = hdiag - 0.5 * (huu + hvv)
-        gnorm[lo:lo + CIRCLE_BLOCK] = np.hypot(du, dv)
-        hnorm[lo:lo + CIRCLE_BLOCK] = _ambient_hessian_norm(du, dv, huu, huv, hvv)
-    return gnorm, hnorm
+def _s2_pole_parts(f: S2Function):
+    """(|grad|, ambient Hessian norm) at the north and south poles, in closed
+    form in the frame (e_1, e_2): there only order 1 has a gradient, and only
+    orders 0 (Q_l0'' = -sqrt(2l+1) l(l+1)/2 at theta = 0) and 2 a Hessian."""
+    k = np.arange(f.band_limit + 1)
+    c = lambda m: np.where(k >= abs(m), f.coeffs[np.maximum(k * k + k + m, 0)], 0.0)
+    q = np.sqrt(2.0 * k + 1.0) * np.stack((np.ones(k.size), (-1.0) ** k))  # north, south
+    d1 = q * np.sqrt(k * (k + 1.0) / 2.0) * [[1.0], [-1.0]]
+    d2 = q * np.sqrt(2.0 * np.maximum(k - 1.0, 0.0) * k * (k + 1.0) * (k + 2.0)) / 8.0
+    g1, g2 = d1 @ c(1), d1 @ c(-1)
+    h0, a, b = -(q * k * (k + 1.0) / 2.0) @ c(0), d2 @ c(2), d2 @ c(-2)
+    return np.hypot(g1, g2), _ambient_hessian_norm(g1, g2, h0 + 2.0 * a, 2.0 * b, h0 - 2.0 * a)
 
 
 def derivative_sup_norms(f) -> tuple[float, float]:
@@ -269,8 +248,8 @@ def derivative_sup_norms(f) -> tuple[float, float]:
     to roundoff on the refined set.
 
     Zonal profiles take f' and f'' from `derivatives_at` and polish the
-    best node; S^2 functions differentiate the synthesis on the refined grid,
-    and the poles go through the great-circle path.
+    best node; S^2 functions differentiate the synthesis on the refined grid
+    and take the poles in closed form.
     """
     if isinstance(f, ZonalProfile):
         pts = f.refined_set()
@@ -279,5 +258,5 @@ def derivative_sup_norms(f) -> tuple[float, float]:
         h_at = lambda t: float(_zonal_hessian_parts(f, np.atleast_1d(t))[1][0])
         return _polish_max(pts, g, g_at), _polish_max(pts, h, h_at)
     g, h = _s2_grid_parts(f, f.refined_grid())
-    gp, hp = _s2_spectral_parts(f, _POLES)
+    gp, hp = _s2_pole_parts(f)
     return float(max(g.max(), gp.max())), float(max(h.max(), hp.max()))

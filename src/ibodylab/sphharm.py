@@ -8,8 +8,11 @@ coefficient layout: index(l, m) = l^2 + l + m, m = -l..l.
 Transforms are separated by order (Driscoll & Healy 1994; per-order layout
 as in SHTns, Schaeffer 2013): one generator yields the normalized associated
 Legendre blocks Q[m..L, m] from the stable recurrence (sectoral seed, then
-upward in l), and analysis, synthesis and point evaluation take one
-matrix-vector product per order, so point evaluation needs O(L N) memory.
+upward in l), and analysis and synthesis take one matrix-vector product per
+order.  Point evaluation goes through the double Fourier sphere (Merilees
+1973; Townsend, Wilber & Wright, SIAM J. Sci. Comput. 38, 2016, C403): per
+order the Legendre sum is a degree-L trigonometric polynomial in theta, got
+by one rfft of 2L + 2 samples, so N points cost a few (N x L)(L x L) products.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .quadrature import REFINE, S2Grid, s2_grid
 
-_CHUNK = 16384  # points per block in eval_s2_at_points
+_BUDGET = 2**17  # values per (L+1)-row table of a chunk in eval_s2_at_points
 
 def sh_index(l: int, m: int) -> int:
     """Flat index of the real harmonic (l, m) in coefficient arrays."""
@@ -150,23 +153,57 @@ def _order_sums(coeffs: np.ndarray, band_limit: int, z: np.ndarray):
         yield m, scale, coeffs[cos_i] @ qm, coeffs[sin_i] @ qm
 
 
+@lru_cache(maxsize=16)
+def _dfs_legendre(L: int):
+    """Per-order Legendre blocks at the colatitudes pi k / (L + 1), k = 0..L+1."""
+    return list(_legendre_orders(L, np.cos(np.pi * np.arange(L + 2) / (L + 1))))
+
+
+def _dfs_coeffs(coeffs: np.ndarray, band_limit: int):
+    """(even, odd), each (2, ., L + 1): even[0, i] holds the cos j theta
+    coefficients of scale a_{2i} (see `_order_sums`), odd[0, i] the sin j
+    theta ones of scale a_{2i+1}, and [1] those of b; one rfft of the
+    samples at pi k / (L + 1), extended by a_m(2 pi - theta) = (-1)^m a_m."""
+    L = band_limit
+    samples = np.empty((2, L + 1, 2 * L + 2))
+    for m, qm in enumerate(_dfs_legendre(L)):
+        cos_i, sin_i, scale = _order_slots(L, m)
+        samples[:, m, :L + 2] = scale * (coeffs[np.stack((cos_i, sin_i))] @ qm)
+    samples[:, :, L + 2:] = samples[:, :, L:0:-1]
+    samples[:, 1::2, L + 2:] *= -1.0
+    spec = np.fft.rfft(samples, axis=-1)[..., :L + 1] / (L + 1)
+    spec[..., 0] *= 0.5
+    return np.ascontiguousarray(spec[:, 0::2].real), np.ascontiguousarray(-spec[:, 1::2].imag)
+
+
 def eval_s2_at_points(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate at arbitrary unit vectors, shape (..., 3); orders are summed
-    one at a time per chunk of points, so memory is O(L N), not O(L^2 N)."""
+    """Evaluate at arbitrary unit vectors, shape (..., 3), on the double
+    Fourier sphere: f = sum_m (A_m C_m) cos m phi + (B_m C_m) sin m phi, C_m
+    the cos j theta (m even) or sin j theta (m odd) table from the Chebyshev
+    recurrence in z and hypot(x, y); chunks hold ~_BUDGET values a table."""
     coeffs = np.asarray(coeffs, dtype=float)
     L = _band_limit(coeffs)
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    series = _dfs_coeffs(coeffs, L)
     out = np.zeros(pts.shape[0])
-    for start in range(0, pts.shape[0], _CHUNK):
-        block = pts[start:start + _CHUNK]
-        phi = np.arctan2(block[:, 1], block[:, 0])
-        vals = out[start:start + _CHUNK]
-        for m, scale, a, b in _order_sums(coeffs, L, block[:, 2]):
-            vals += scale * (a * np.cos(m * phi) + b * np.sin(m * phi))
+    chunk = max(1, min(_BUDGET // (L + 1), pts.shape[0]))
+    tables = np.empty((2, 2, L + 1, chunk))  # reused: fresh pages per chunk cost faults
+    for lo in range(0, pts.shape[0], chunk):
+        x, y, z = pts[lo:lo + chunk].T
+        r = np.hypot(x, y)
+        r_safe = np.where(r == 0.0, 1.0, r)
+        cos_t = np.stack((z, np.where(r == 0.0, 1.0, x / r_safe)))  # phi = 0 at the poles
+        trig = tables[..., :z.size]          # [cos, sin] x [theta, phi] x j x point
+        trig[0, :, 0], trig[1, :, 0] = 1.0, 0.0
+        before = np.stack((cos_t, -np.stack((r, y / r_safe))))  # j = -1
+        for j in range(1, L + 1):
+            np.multiply(2.0 * cos_t, trig[:, :, j - 1], out=trig[:, :, j])
+            trig[:, :, j] -= trig[:, :, j - 2] if j > 1 else before
+        vals = out[lo:lo + chunk]
+        for parity, (a, b) in enumerate(series):
+            vals += np.einsum("mj,mj->j", a @ trig[parity, 0], trig[0, 1, parity::2])
+            vals += np.einsum("mj,mj->j", b @ trig[parity, 0], trig[1, 1, parity::2])
     return out.reshape(np.asarray(points).shape[:-1])
-
-
-_POLES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,9 +278,13 @@ class S2Function:
     def refined_set(self) -> np.ndarray:
         """Unit points of the dense evaluation set, shape (n, 3): the
         refined grid in row-major order, then the north and south poles."""
-        return np.concatenate((self.refined_grid().points().reshape(-1, 3), _POLES))
+        return np.concatenate((self.refined_grid().points().reshape(-1, 3),
+                               [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
 
     def refined_values(self) -> np.ndarray:
-        """f on `refined_set`; the grid part by synthesis, not point by point."""
+        """f on `refined_set`: the grid part by synthesis, the poles in closed
+        form, f(+-e_3) = sum_l (+-1)^l sqrt(2l+1) c[l, 0]."""
         grid_vals = synthesize_s2(self.coeffs, self.refined_grid())
-        return np.concatenate((grid_vals.ravel(), self.eval_at_points(_POLES)))
+        l = np.arange(self.band_limit + 1)
+        zonal = np.sqrt(2.0 * l + 1.0) * self.coeffs[l * l + l]
+        return np.concatenate((grid_vals.ravel(), [zonal.sum(), zonal @ (-1.0) ** l]))

@@ -13,12 +13,14 @@ from ibodylab import (
     cutoff_profile,
     derivative_sup_norms,
     l2_norm,
+    make_rng,
+    sh_degrees,
     smooth_cutoff,
     sh_index,
     sup_norm,
     zonal_basis_matrix,
 )
-from helpers import random_even_s2, random_even_zonal
+from helpers import random_even_s2, random_even_zonal, s2_spectral_parts
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +257,29 @@ def test_derivative_estimators_agree_zonal():
 def test_derivative_estimators_agree_s2():
     # the exact grid path against the independent great-circle DFT at every
     # refined grid point
-    from ibodylab.analysis import _s2_grid_parts, _s2_spectral_parts
+    from ibodylab.analysis import _s2_grid_parts
 
     f = random_even_s2(10, seed=6)
     grid = f.refined_grid()
     g, h = _s2_grid_parts(f, grid)
-    g_gc, h_gc = _s2_spectral_parts(f, grid.points().reshape(-1, 3))
+    g_gc, h_gc = s2_spectral_parts(f, grid.points().reshape(-1, 3))
     assert np.abs(g.ravel() - g_gc).max() <= 1e-12 * g_gc.max()
     assert np.abs(h.ravel() - h_gc).max() <= 1e-12 * h_gc.max()
+
+
+@pytest.mark.parametrize("band_limit", [4, 10, 33])
+def test_pole_derivatives_match_great_circles(band_limit):
+    # the closed-form pole constants against the great-circle DFT, on a
+    # function with odd degrees and every order, so every constant counts
+    from ibodylab.analysis import _s2_pole_parts
+
+    degs = sh_degrees(band_limit)
+    f = S2Function.from_coeffs(make_rng(band_limit).standard_normal(degs.size)
+                               * (1.0 + degs) ** -1.5)
+    got = _s2_pole_parts(f)
+    want = s2_spectral_parts(f, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 def test_s2_derivative_norms_memory():

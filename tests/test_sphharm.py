@@ -4,18 +4,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ibodylab import (
     S2Function,
     analyze_s2,
     default_s2_grid,
     eval_s2_at_points,
+    make_rng,
     s2_grid,
     sh_degrees,
     sh_index,
     synthesize_s2,
 )
-from helpers import random_even_s2, random_points_on_sphere
+from helpers import order_sum_eval, random_even_s2, random_points_on_sphere
 
 
 def test_index_layout():
@@ -88,8 +90,11 @@ def test_eval_at_points_matches_grid():
 
 
 def test_eval_at_points_matches_closed_forms():
-    # real harmonics with m > 0 in Cartesian form, unit-mass normalization
-    pts = random_points_on_sphere(500, 3, seed=3)
+    # real harmonics with m > 0 in Cartesian form, unit-mass normalization;
+    # the last points lie 1e-9 from a pole, where the height alone rounds
+    # to +-1 and only hypot(x, y) still places the point
+    near_poles = np.array([[1e-9, 0.0, 1.0], [0.0, -1e-9, -1.0], [-6e-10, 8e-10, 1.0]])
+    pts = np.concatenate((random_points_on_sphere(500, 3, seed=3), near_poles))
     x, y = pts[:, 0], pts[:, 1]
     cases = {
         (1, 1): np.sqrt(3.0) * x,
@@ -101,6 +106,31 @@ def test_eval_at_points_matches_closed_forms():
         c = np.zeros(9)
         c[sh_index(l, m)] = 1.0
         assert np.max(np.abs(eval_s2_at_points(c, pts) - want)) <= 1e-13, (l, m)
+
+
+def _special_points() -> np.ndarray:
+    """Both poles, the equator, the phi = pi seam (y = +-0, x < 0), and the
+    points nearest the poles whose heights still resolve them: z = +-(1 -
+    k 2^-53) with hypot(x, y) = sqrt((1 - z)(1 + z)), about 1.5e-8 sqrt(k)."""
+    z = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.6, -0.8,
+                  1 - 2.0**-53, -(1 - 2.0**-53), 1 - 3 * 2.0**-53, -(1 - 5 * 2.0**-53)])
+    phi = np.array([0.0, 0.0, 0.0, 1.0, np.pi, -2.0, np.pi, np.pi, 0.3, np.pi, -1.0, 2.5])
+    r = np.sqrt((1.0 - z) * (1.0 + z))
+    pts = np.stack((r * np.cos(phi), r * np.sin(phi), z), axis=1)
+    pts[phi == np.pi, 1] = [0.0, -0.0, 0.0, 0.0]
+    return pts
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(band_limit=st.integers(0, 64), seed=st.integers(0, 2**32 - 1))
+def test_eval_at_points_matches_order_sums_property(band_limit, seed):
+    # the double-Fourier-sphere evaluator against the per-order Legendre
+    # sums; every degree and order, random and special points
+    rng = make_rng(seed)
+    coeffs = rng.standard_normal((band_limit + 1) ** 2)
+    pts = np.concatenate((random_points_on_sphere(300, 3, seed=seed), _special_points()))
+    gap = np.abs(eval_s2_at_points(coeffs, pts) - order_sum_eval(coeffs, pts)).max()
+    assert gap <= 1e-13 * np.abs(coeffs).sum()
 
 
 def test_eval_at_points_memory_is_linear_in_band():
