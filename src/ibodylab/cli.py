@@ -254,13 +254,12 @@ def cmd_eigen_check(cfg: dict) -> int:
     return _emit("eigen-check", cfg, header, rows, summary, worst <= EIGEN_TOL)
 
 
-def _random_even_zonal(d: int, band_limit: int, rng) -> ZonalProfile:
-    # decay 1.5 keeps the low degrees dominant, so cutting at small n does
-    # not shrink sup norms enough to fake a growth trend at large n
+def _random_even_zonal(d: int, band_limit: int, rng, decay: float = 1.5) -> ZonalProfile:
+    # decay 1.5, the default, keeps the low degrees dominant, so cutting at
+    # small n does not shrink sup norms enough to fake a growth trend at large n
     k = np.arange(band_limit + 1)
     coeffs = np.where(k % 2 == 0, rng.standard_normal(band_limit + 1), 0.0)
-    coeffs *= (1.0 + k) ** -1.5
-    return ZonalProfile.from_coeffs(d, coeffs)
+    return ZonalProfile.from_coeffs(d, coeffs * (1.0 + k) ** -decay)
 
 
 def cmd_radon_oracle(cfg: dict) -> int:

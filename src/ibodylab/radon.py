@@ -47,13 +47,20 @@ def radon_geometric_zonal(f: ZonalProfile) -> ZonalProfile:
     weight (1 - s^2)^((d-4)/2); for d = 3 that weight is the arcsine density
     of a great-circle coordinate.  The subsphere rule has order K + 8, exact
     for band-K integrands with margin.
+
+    Both rules are symmetric: heights t < 0 mirror those t >= 0, and sum_j
+    w_j f(s_j r) = sum_(s_j > 0) 2 w_j f_even(s_j r) + w_0 f(0) (odd orders
+    only; f_even drops the odd degrees), so a quarter of the points suffice.
     """
-    d = f.dim
-    sub = subsphere_rule(d, f.band_limit + 8)
-    radial = np.sqrt(np.clip(1.0 - f.rule.nodes**2, 0.0, None))
-    args = np.outer(radial, sub.nodes)
-    out_vals = f.eval_at(args.ravel()).reshape(args.shape) @ sub.weights
-    return ZonalProfile.from_values(d, f.band_limit, out_vals, f.rule)
+    rule, sub = f.rule, subsphere_rule(f.dim, f.band_limit + 8)
+    w = 2.0 * sub.weights[sub.order // 2:]
+    w[:sub.order % 2] /= 2.0  # a centre node 0 counts once
+    f_even = f.with_coeffs(np.where(f.degrees % 2, 0.0, f.coeffs))
+    radial = np.sqrt(np.clip(1.0 - rule.nodes[rule.order // 2:] ** 2, 0.0, None))
+    args = np.outer(radial, sub.nodes[sub.order // 2:])
+    out = f_even.eval_at(args.ravel()).reshape(args.shape) @ w
+    out_vals = np.concatenate((out[rule.order % 2:][::-1], out))
+    return ZonalProfile.from_values(f.dim, f.band_limit, out_vals, rule)
 
 
 def radon_geometric_s2(f: S2Function) -> S2Function:

@@ -18,9 +18,10 @@ path reads it:
   once per rule and band limit, cached as `sphharm._grid_tables` is, and
   read-only; only rules of the default storage order are cached, so the
   tables of a power step's transient work rule are not kept;
-* `power(p)` streams the band-pK analysis on its work rule _POWER_BLOCK
-  rows at a time and never holds the whole (pK+1)-row table (its output's
-  samples, if ever read, are synthesized then);
+* `power(p)` runs on the nodes h >= 0 of its symmetric work rule (f(h) and
+  f(-h) from one two-column `_series`) and streams its analysis
+  _POWER_BLOCK rows Z_k(h) at a time, never holding the (pK+1)-row table
+  (its output's samples, if ever read, are synthesized then);
 * `eval_at` of a scalar height runs the recurrence in Python floats (the
   sup-norm polish), of an array builds its table in chunks of at most
   _CHUNK points and of at most a band-256 table's size.
@@ -131,17 +132,18 @@ def _table(build, rule: JacobiRule, kmax: int):
 
 
 def _series(d: int, coeffs: np.ndarray, t) -> np.ndarray:
-    """sum_k coeffs[k] Z_k(t) in dimension d at heights t of any shape; the
-    basis table is built _CHUNK points at a time up to band 256, and in
-    chunks no larger than that band-256 table above it."""
+    """sum_k coeffs[k] Z_k(t) in dimension d at heights t of any shape; a
+    (K+1, c) matrix of coefficients sums c series at once, on a trailing
+    axis.  The basis table is built _CHUNK points at a time up to band 256,
+    and in chunks no larger than that band-256 table above it."""
     t = np.asarray(t, dtype=float)
-    flat = t.ravel()
-    vals = np.empty(flat.size)
-    chunk = min(_CHUNK, _CHUNK * 257 // coeffs.size)
+    flat, kmax = t.ravel(), len(coeffs) - 1
+    vals = np.empty((flat.size,) + coeffs.shape[1:])
+    chunk = min(_CHUNK, _CHUNK * 257 // (kmax + 1))
     for start in range(0, flat.size, chunk):
         block = flat[start:start + chunk]
-        vals[start:start + chunk] = zonal_basis_matrix(d, coeffs.size - 1, block).T @ coeffs
-    return vals.reshape(t.shape)
+        vals[start:start + chunk] = zonal_basis_matrix(d, kmax, block).T @ coeffs
+    return vals.reshape(t.shape + coeffs.shape[1:])
 
 
 def _shift_factors(d: int, kmax: int) -> np.ndarray:
@@ -229,17 +231,24 @@ class ZonalProfile:
     def power(self, p: int) -> "ZonalProfile":
         """f^p at band p K, sampled on a rule exact for its analysis.
 
-        The analysis streams the basis on the work rule _POWER_BLOCK rows
-        at a time, so the (pK+1)-row table is never held.
+        The work rule is symmetric and Z_k(-t) = (-1)^k Z_k(t), so only its
+        nodes h >= 0 are used: degree k reads sum_h w Z_k(h) (f(h)^p +-
+        f(-h)^p), + for even k, with a centre node 0 at half weight.  The rows
+        Z_k(h) stream _POWER_BLOCK at a time, never the (pK+1)-row table.
         """
         d, k = self.dim, p * self.band_limit
         work = gauss_jacobi_rule(d, sphere_exponent(d), k + 8)
-        wfp = work.weights * self.eval_at(work.nodes) ** p
+        h, w = work.nodes[work.order // 2:], work.weights[work.order // 2:].copy()
+        w[:work.order % 2] /= 2.0
+        mirrored = np.stack((self.coeffs, (-1.0) ** self.degrees * self.coeffs), axis=1)
+        plus, minus = _series(d, mirrored, h).T ** p  # f(h)^p and f(-h)^p
+        wsum, wdiff = w * (plus + minus), w * (plus - minus)
         coeffs = np.empty(k + 1)
-        rows = _basis_rows(d, k, work.nodes)
-        for lo in range(0, k + 1, _POWER_BLOCK):
+        rows = _basis_rows(d, k, h)
+        for lo in range(0, k + 1, _POWER_BLOCK):  # lo is even
             blk = np.array(list(islice(rows, _POWER_BLOCK)))
-            coeffs[lo:lo + len(blk)] = blk @ wfp
+            coeffs[lo:lo + _POWER_BLOCK:2] = blk[0::2] @ wsum
+            coeffs[lo + 1:lo + _POWER_BLOCK:2] = blk[1::2] @ wdiff
         return ZonalProfile(d, k, work, coeffs)
 
     def energies(self) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared builders for randomized test inputs, closed-form references, and
 independent oracles: the direct section-volume quadrature that checks
 `intersection_body` (its output times meta["mean_power"] is the raw
-transform R(rho^(d-1))), the per-order point evaluation that checks the
+transform R(rho^(d-1))), the unfolded geometric zonal route that checks
+the folded one, the per-order point evaluation that checks the
 double-Fourier-sphere evaluator, and the great-circle differentiation that
 checks the S^2 derivative norms.
 
@@ -23,15 +24,20 @@ from ibodylab import (
     sup_norm,
 )
 from ibodylab.analysis import _ambient_hessian_norm
+from ibodylab.cli import _random_even_zonal
 from ibodylab.sphharm import _band_limit, _order_sums, tangent_frame
 
 
 def random_even_zonal(d: int, band_limit: int, seed: int, decay: float = 1.0) -> ZonalProfile:
-    rng = make_rng(seed)
+    return _random_even_zonal(d, band_limit, make_rng(seed), decay)
+
+
+def random_zonal(d: int, band_limit: int, seed: int, rule=None) -> ZonalProfile:
+    """Gaussian coefficients at every degree, odd ones included, damped like
+    the `radon-oracle` inputs, on `rule` (the default rule if None)."""
     k = np.arange(band_limit + 1)
-    coeffs = np.where(k % 2 == 0, rng.standard_normal(band_limit + 1), 0.0)
-    coeffs = coeffs * (1.0 + k) ** (-decay)
-    return ZonalProfile.from_coeffs(d, coeffs)
+    coeffs = make_rng(seed).standard_normal(band_limit + 1) * (1.0 + k) ** -1.5
+    return ZonalProfile.from_coeffs(d, coeffs, rule)
 
 
 def random_even_s2(band_limit: int, seed: int, decay: float = 1.5) -> S2Function:
@@ -146,6 +152,17 @@ def section_volume(body: StarBody, direction) -> float:
     circle = np.outer(np.cos(tau), u) + np.outer(np.sin(tau), v)
     avg = float((f.eval_at_points(circle) ** 2).mean())
     return sphere_area(1) / 2.0 * avg
+
+
+def unfolded_radon_zonal(f: ZonalProfile) -> ZonalProfile:
+    """The geometric zonal route on every node of both rules: f at the
+    heights s sqrt(1 - t^2) of the whole subsphere rule, for every storage
+    node t.  The reference for the folded `radon_geometric_zonal`."""
+    sub = subsphere_rule(f.dim, f.band_limit + 8)
+    radial = np.sqrt(np.clip(1.0 - f.rule.nodes**2, 0.0, None))
+    args = np.outer(radial, sub.nodes)
+    out_vals = f.eval_at(args.ravel()).reshape(args.shape) @ sub.weights
+    return ZonalProfile.from_values(f.dim, f.band_limit, out_vals, f.rule)
 
 
 def order_sum_eval(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:

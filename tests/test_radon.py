@@ -5,12 +5,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ibodylab import (
     S2Function,
     ZonalProfile,
     default_rule,
+    gauss_jacobi_rule,
     l2_norm,
     make_rng,
     radon_geometric_s2,
@@ -20,8 +21,9 @@ from ibodylab import (
     sh_degrees,
     sh_index,
     smoothing_gain_experiment,
+    sphere_exponent,
 )
-from helpers import random_even_s2, random_even_zonal
+from helpers import random_even_s2, random_even_zonal, random_zonal, unfolded_radon_zonal
 
 ORACLE_TOL = 1e-8
 
@@ -198,6 +200,25 @@ def test_route_agreement_s2_property(band_limit, seed):
     f = _random_full_s2(band_limit, seed)
     gap = np.abs(radon_geometric_s2(f).coeffs - radon_spectral(f).coeffs).max()
     assert gap <= ORACLE_TOL
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.sampled_from([3, 4, 5, 7, 10]), band_limit=st.integers(1, 80),
+       on_work_rule=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(d=4, band_limit=15, on_work_rule=True, seed=0)
+def test_folded_zonal_route_matches_unfolded_property(d, band_limit, on_work_rule, seed):
+    # the route folds both rules at t -> -t; the unfolded sum over every
+    # node is its reference.  Odd degrees must cancel in the fold, and a
+    # power step's work rule (order (d-1)K + 8, odd when (d-1)K is odd, 53
+    # at d = 4, K = 15) puts a centre node 0 on the storage side, as an odd
+    # K + 8 puts one on the subsphere side
+    rule = gauss_jacobi_rule(d, sphere_exponent(d), (d - 1) * band_limit + 8) \
+        if on_work_rule else None
+    f = random_zonal(d, band_limit, seed, rule)
+    got = radon_geometric_zonal(f).coeffs
+    want = unfolded_radon_zonal(f).coeffs
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(f.coeffs).max()
+    assert np.abs(got - radon_spectral(f).coeffs).max() <= ORACLE_TOL
 
 
 def test_geometric_routes_never_read_the_multiplier_table(monkeypatch):

@@ -14,7 +14,7 @@ from ibodylab import (
     zonal_basis_matrix,
 )
 from ibodylab.zonal import _refined_table, _storage_table
-from helpers import random_even_zonal
+from helpers import random_even_zonal, random_zonal
 
 
 def test_degree_zero_is_constant_one():
@@ -171,17 +171,21 @@ def test_cached_tables_match_uncached_basis(d):
     assert np.abs(f.refined_values() - want).max() <= 1e-14 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
 def test_streamed_power_matches_full_analysis(d):
-    # power(p) streams the band-pK analysis; the full table gives the same
-    p, k = d - 1, 24
-    f = random_even_zonal(d, k, seed=20 + d)
-    got = f.power(p)
-    work = gauss_jacobi_rule(d, sphere_exponent(d), p * k + 8)
-    want = ZonalProfile.from_values(d, p * k, f.eval_at(work.nodes) ** p, work)
-    assert got.rule is work and got.band_limit == p * k
-    assert np.abs(got.coeffs - want.coeffs).max() <= 1e-14 * np.abs(want.coeffs).max()
-    assert np.abs(got.values - want.values).max() <= 1e-14 * np.abs(want.values).max()
+    # power(p) folds the mirror nodes of its work rule and streams the
+    # band-pK analysis; f^p on every node and the full table give the same,
+    # for odd degrees too and for the odd work-rule orders pK + 8 of d = 4
+    # and 6 at k = 15 (53 and 83), whose centre node 0 counts once
+    p = d - 1
+    for f in (random_even_zonal(d, 24, seed=20 + d), random_zonal(d, 15, seed=30 + d)):
+        k = p * f.band_limit
+        got = f.power(p)
+        work = gauss_jacobi_rule(d, sphere_exponent(d), k + 8)
+        want = ZonalProfile.from_values(d, k, f.eval_at(work.nodes) ** p, work)
+        assert got.rule is work and got.band_limit == k
+        assert np.abs(got.coeffs - want.coeffs).max() <= 1e-14 * np.abs(want.coeffs).max()
+        assert np.abs(got.values - want.values).max() <= 1e-14 * np.abs(want.values).max()
 
 
 def test_streamed_power_memory():
