@@ -139,11 +139,13 @@ def approx_decay_norm(f, alpha: float) -> float:
 
 
 def _decay_tail(f, alpha: float) -> float:
-    """max over 1 <= n <= band limit of n^alpha tail_n (0 with no such n)."""
+    """max over the n >= 1 with tail_n > 0 of n^alpha tail_n (0 with no such
+    n); n^alpha may overflow to inf, which then is the maximum."""
     e = f.energies()
-    tails_sq = np.concatenate((np.cumsum(e[::-1])[::-1], [0.0]))[1:]  # tail after n, n=0..
-    ns = np.arange(1, f.band_limit + 1, dtype=float)
-    tail_terms = ns**alpha * np.sqrt(np.maximum(tails_sq[1:len(ns) + 1], 0.0))
+    tails = np.sqrt(np.cumsum(e[::-1])[::-1][2:])  # tail after n, n = 1..K-1
+    live = tails > 0.0
+    with np.errstate(over="ignore"):
+        tail_terms = (np.flatnonzero(live) + 1.0) ** alpha * tails[live]
     return float(tail_terms.max()) if tail_terms.size else 0.0
 
 
@@ -157,20 +159,16 @@ def _ambient_hessian_norm(g1, g2, h11, h12, h22) -> np.ndarray:
     """Largest |eigenvalue| of the ambient Hessian of f(x/|x|) at unit points,
     from the surface gradient (g1, g2) and covariant Hessian [[h11, h12],
     [h12, h22]] in an orthonormal tangent frame (radial row: 0, -g1, -g2).
-    The 3x3 matrices are stacked about HESSIAN_BLOCK points (whole rows of
-    a grid) at a time, which bounds their memory."""
-    parts = np.broadcast_arrays(g1, g2, h11, h12, h22)
-    out = np.empty(parts[0].shape)
-    rows = max(1, HESSIAN_BLOCK // max(1, int(np.prod(out.shape[1:]))))
-    for lo in range(0, len(out), rows):
-        g1, g2, h11, h12, h22 = (p[lo:lo + rows] for p in parts)
-        hess = np.stack([
-            np.stack([np.zeros_like(g1), -g1, -g2], axis=-1),
-            np.stack([-g1, h11, h12], axis=-1),
-            np.stack([-g2, h12, h22], axis=-1),
-        ], axis=-2)
-        out[lo:lo + rows] = np.abs(np.linalg.eigvalsh(hess)).max(axis=-1)
-    return out
+    The 3x3 matrices are stacked for all points at once, so callers pass
+    at most HESSIAN_BLOCK points (`_s2_grid_parts` goes a block of grid
+    rows at a time), which bounds their memory."""
+    g1, g2, h11, h12, h22 = np.broadcast_arrays(g1, g2, h11, h12, h22)
+    hess = np.stack([
+        np.stack([np.zeros_like(g1), -g1, -g2], axis=-1),
+        np.stack([-g1, h11, h12], axis=-1),
+        np.stack([-g2, h12, h22], axis=-1),
+    ], axis=-2)
+    return np.abs(np.linalg.eigvalsh(hess)).max(axis=-1)
 
 
 def _zonal_hessian_parts(f: ZonalProfile, t: np.ndarray):

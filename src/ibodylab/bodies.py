@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .radon import radon_geometric_s2, radon_geometric_zonal, radon_multiplier
+from .radon import radon_geometric_s2, radon_geometric_zonal, radon_spectral
 from .sphharm import S2Function, default_s2_grid
 from .zonal import ZonalProfile, default_rule
 
@@ -53,24 +53,12 @@ class StarBody:
                 f"of total {total:.3e}"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.profile.dim
-
     @cached_property
     def radial_range(self) -> tuple[float, float]:
         """(min, max) of the radial function on the profile's refined set,
         measured at first use and kept on the body."""
         vals = self.profile.refined_values()
         return float(vals.min()), float(vals.max())
-
-    @property
-    def band_limit(self) -> int:
-        return self.profile.band_limit
-
-    @property
-    def representation(self) -> str:
-        return self.profile.representation
 
 
 def ball_body(d: int, band_limit: int, representation: str = "zonal") -> StarBody:
@@ -138,7 +126,7 @@ def apply_linear_map(body: StarBody, T) -> StarBody:
         norms = np.linalg.norm(mapped, axis=1)
         vals = f.eval_at_points(mapped / norms[:, None]) / norms
         out = S2Function.from_values(f.band_limit, vals.reshape(f.grid.weights.shape), f.grid)
-    return StarBody(out, meta=dict(body.meta))
+    return StarBody(out)
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +148,16 @@ def intersection_body(body: StarBody, method: str = "spectral") -> StarBody:
     """
     if method not in ("spectral", "geometric"):
         raise ValueError(f"unknown method {method!r}")
-    d = body.dim
-    pe = body.profile.power(d - 1)
+    pe = body.profile.power(body.profile.dim - 1)
     if method == "spectral":
-        out_ext = pe.coeffs * radon_multiplier(d, pe.band_limit)[pe.degrees]
+        out_ext = radon_spectral(pe).coeffs
     elif pe.representation == "zonal":
         out_ext = radon_geometric_zonal(pe).coeffs
     else:
         out_ext = radon_geometric_s2(pe).coeffs
     mean_power = float(out_ext[0])
     out_ext = out_ext / mean_power
-    kept = pe.degrees <= body.band_limit
+    kept = pe.degrees <= body.profile.band_limit
     lost = float(np.sqrt((out_ext[~kept] ** 2).sum()))
     return StarBody(body.profile.with_coeffs(out_ext[kept]),
                     meta={"trunc_loss": lost, "mean_power": mean_power})

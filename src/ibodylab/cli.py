@@ -262,6 +262,12 @@ def _random_even_zonal(d: int, band_limit: int, rng, decay: float = 1.5) -> Zona
     return ZonalProfile.from_coeffs(d, coeffs * (1.0 + k) ** -decay)
 
 
+def _random_s2(band_limit: int, rng, decay: float = 1.5) -> S2Function:
+    # every degree and order, odd ones included
+    degs = sh_degrees(band_limit)
+    return S2Function.from_coeffs(rng.standard_normal(degs.size) * (1.0 + degs) ** -decay)
+
+
 def cmd_radon_oracle(cfg: dict) -> int:
     d = cfg["dim"]
     band_limit = cfg["band_limit"]
@@ -278,9 +284,7 @@ def cmd_radon_oracle(cfg: dict) -> int:
         worst = max(worst, err)
         rows.append([trial, "zonal", err])
         if d == 3:
-            full = S2Function.from_coeffs(
-                rng.standard_normal((band_limit + 1) ** 2)
-                * (1.0 + sh_degrees(band_limit)) ** -1.5)
+            full = _random_s2(band_limit, rng)
             err = float(np.abs(radon_geometric_s2(full).coeffs
                                - radon_spectral(full).coeffs).max())
             worst = max(worst, err)
@@ -357,10 +361,11 @@ def _start_body(cfg: dict) -> StarBody:
                 coeffs[k * k:(k + 1) ** 2] = w * rng.standard_normal(2 * k + 1)
             else:
                 coeffs[sh_index(k, 0)] = w
-    norm = float(np.sqrt((coeffs**2).sum()))
-    if norm == 0.0:
+    peak = float(np.abs(coeffs).max())
+    if peak == 0.0:
         raise ConfigError("the perturbation is identically zero")
-    coeffs *= eps / norm
+    coeffs /= peak  # so that the squares neither overflow nor underflow
+    coeffs *= eps / float(np.sqrt((coeffs**2).sum()))
     coeffs[0] = 1.0
     if rep == "zonal":
         profile = ZonalProfile.from_coeffs(d, coeffs)

@@ -164,7 +164,7 @@ def _rescaled_to_mean_one(body: StarBody) -> StarBody:
     if abs(c[0] - 1.0) < 1e-15:
         return body
     c /= c[0]
-    return StarBody(body.profile.with_coeffs(c), meta=dict(body.meta))
+    return StarBody(body.profile.with_coeffs(c))
 
 
 def iterate_step(body: StarBody, opts: IterationOptions) -> tuple[StarBody, StepRecord]:
@@ -177,7 +177,7 @@ def iterate_step(body: StarBody, opts: IterationOptions) -> tuple[StarBody, Step
     Raw mode skips the correction and both rescales.  The record's ratio
     is the L2 deviation of the output over that of the input.
     """
-    d = body.dim
+    d = body.profile.dim
     corrected = not opts.raw_power_mode
     if corrected:
         body = _rescaled_to_mean_one(body)
@@ -234,8 +234,7 @@ def run_iteration(body: StarBody, opts: IterationOptions) -> IterationReport:
     """
     if not opts.raw_power_mode:
         body = _rescaled_to_mean_one(body)
-    d = body.dim
-    rep = body.representation
+    d, rep = body.profile.dim, body.profile.representation
     records = [_state_record(body, m=0, opts=opts, q=np.zeros((d, d)),
                              gamma=1.0, trunc_loss=0.0, l2_prev=math.nan)]
 
@@ -251,7 +250,7 @@ def run_iteration(body: StarBody, opts: IterationOptions) -> IterationReport:
         l2s = [r.l2 for r in records]
         monotone = all(l2s[i + 1] <= l2s[i] for i in range(1, len(l2s) - 1))
         return IterationReport(
-            dim=d, band_limit=body.band_limit, representation=rep,
+            dim=d, band_limit=body.profile.band_limit, representation=rep,
             options=opts, records=records, asymptotic_ratio=asym,
             monotone_after_first=monotone, stopped_reason=reason)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphharm import S2Function, _grid_tables, _order_sums, tangent_frame
+from .sphharm import S2Function, _grid_tables, _order_sums
 from .zonal import ZonalProfile, subsphere_rule
 
 
@@ -76,20 +76,22 @@ def radon_geometric_s2(f: S2Function) -> S2Function:
     per-order sums a_m, b_m at the circle heights, cos m(psi + phi) and
     sin m(psi + phi) expand into the circle means C[i, m] of a_m cos m psi
     + b_m sin m psi and S[i, m] of b_m cos m psi - a_m sin m psi, and the
-    grid values are C @ cos(m phi_j) + S @ sin(m phi_j).  This only
-    reorders the quadrature sum over the circles; it never reads the
-    multiplier table, so the route stays independent of `radon_spectral`.
+    grid values are C @ cos(m phi_j) + S @ sin(m phi_j).  The circle of
+    (sin theta, 0, cos theta), in the frame e_2 and (-cos theta, 0,
+    sin theta), is (-cos theta sin tau, cos tau, sin theta sin tau): with
+    x = cos theta its heights are sqrt(1 - x^2) sin tau and its azimuths
+    arctan2(cos tau, -x sin tau).  This only reorders the quadrature sum
+    over the circles; it never reads the multiplier table, so the route
+    stays independent of `radon_spectral`.
     """
     L, grid = f.band_limit, f.grid
     circle_points = 2 * L + 9
     tau = 2.0 * np.pi * np.arange(circle_points) / circle_points
-    cs, sn = np.cos(tau), np.sin(tau)
-    dirs = np.stack((np.sqrt(1.0 - grid.x**2), np.zeros_like(grid.x), grid.x), axis=-1)
-    u, v = tangent_frame(dirs)
-    circles = cs[None, :, None] * u[:, None, :] + sn[None, :, None] * v[:, None, :]
-    psi = np.arctan2(circles[..., 1], circles[..., 0])     # (n_theta, M)
+    x = grid.x[:, None]
+    z = np.sqrt(1.0 - x * x) * np.sin(tau)                 # (n_theta, M)
+    psi = np.arctan2(np.cos(tau), -x * np.sin(tau))
     c, s = np.empty((2, grid.n_theta, L + 1))
-    for m, scale, a, b in _order_sums(f.coeffs, L, circles[..., 2].ravel()):
+    for m, scale, a, b in _order_sums(f.coeffs, L, z.ravel()):
         a, b = scale * a.reshape(psi.shape), scale * b.reshape(psi.shape)
         cos_m, sin_m = np.cos(m * psi), np.sin(m * psi)
         c[:, m] = (a * cos_m + b * sin_m).mean(axis=1)

@@ -40,22 +40,6 @@ def sh_degrees(band_limit: int) -> np.ndarray:
     return np.repeat(l, 2 * l + 1)
 
 
-def tangent_frame(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal tangent vectors (u, v) at unit points x, shape (..., 3).
-
-    u is orthogonal to x and to a coordinate axis away from x (e_1 unless
-    |x_1| > 0.9, then e_2); v = x cross u completes the right-handed frame.
-    """
-    x = np.asarray(x, dtype=float)
-    a = np.zeros_like(x)
-    pick = np.abs(x[..., 0]) <= 0.9
-    a[..., 0] = pick
-    a[..., 1] = ~pick
-    u = np.cross(a, x)
-    u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    return u, np.cross(x, u)
-
-
 def _band_limit(coeffs: np.ndarray) -> int:
     """L of a flat coefficient vector of length (L+1)^2."""
     L = int(np.sqrt(coeffs.size)) - 1

@@ -24,8 +24,8 @@ from ibodylab import (
     sup_norm,
 )
 from ibodylab.analysis import _ambient_hessian_norm
-from ibodylab.cli import _random_even_zonal
-from ibodylab.sphharm import _band_limit, _order_sums, tangent_frame
+from ibodylab.cli import _random_even_zonal, _random_s2
+from ibodylab.sphharm import _band_limit, _order_sums
 
 
 def random_even_zonal(d: int, band_limit: int, seed: int, decay: float = 1.0) -> ZonalProfile:
@@ -40,13 +40,15 @@ def random_zonal(d: int, band_limit: int, seed: int, rule=None) -> ZonalProfile:
     return ZonalProfile.from_coeffs(d, coeffs, rule)
 
 
+def random_s2(band_limit: int, seed: int, decay: float = 1.5) -> S2Function:
+    """Gaussian coefficients at every degree and order, odd ones included,
+    damped like the `radon-oracle` inputs."""
+    return _random_s2(band_limit, make_rng(seed), decay)
+
+
 def random_even_s2(band_limit: int, seed: int, decay: float = 1.5) -> S2Function:
-    rng = make_rng(seed)
-    degs = sh_degrees(band_limit)
-    coeffs = rng.standard_normal(degs.size)
-    coeffs[degs % 2 == 1] = 0.0
-    coeffs = coeffs * (1.0 + degs) ** (-decay)
-    return S2Function.from_coeffs(coeffs)
+    f = random_s2(band_limit, seed, decay)
+    return f.with_coeffs(np.where(sh_degrees(band_limit) % 2, 0.0, f.coeffs))
 
 
 def zonal_body(d: int, band_limit: int, pert: dict[int, float]) -> StarBody:
@@ -76,6 +78,22 @@ def random_zonal_body(d: int, band_limit: int, seed: int, scale: float,
                       decay: float = 1.0) -> StarBody:
     """Ball plus a random even zonal perturbation scaled to sup norm `scale`."""
     return _ball_plus(random_even_zonal(d, band_limit, seed, decay), scale)
+
+
+def tangent_frame(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal tangent vectors (u, v) at unit points x, shape (..., 3).
+
+    u is orthogonal to x and to a coordinate axis away from x (e_1 unless
+    |x_1| > 0.9, then e_2); v = x cross u completes the right-handed frame.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.zeros_like(x)
+    pick = np.abs(x[..., 0]) <= 0.9
+    a[..., 0] = pick
+    a[..., 1] = ~pick
+    u = np.cross(a, x)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    return u, np.cross(x, u)
 
 
 def random_points_on_sphere(n: int, dim: int, seed: int) -> np.ndarray:
@@ -129,8 +147,8 @@ def section_volume(body: StarBody, direction) -> float:
     For zonal bodies the direction may be given as its height t = <xi, axis>
     (scalar) or as a d-vector; for s2 bodies it is a unit 3-vector.
     """
-    d = body.dim
     f = body.profile
+    d = f.dim
     if isinstance(f, ZonalProfile):
         arr = np.asarray(direction, dtype=float)
         if arr.ndim == 1 and arr.size == d:

@@ -13,14 +13,12 @@ from ibodylab import (
     cutoff_profile,
     derivative_sup_norms,
     l2_norm,
-    make_rng,
-    sh_degrees,
     smooth_cutoff,
     sh_index,
     sup_norm,
     zonal_basis_matrix,
 )
-from helpers import random_even_s2, random_even_zonal, s2_spectral_parts
+from helpers import random_even_s2, random_even_zonal, random_s2, s2_spectral_parts
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +198,15 @@ def test_decay_norm_rejects_non_finite_alpha(alpha):
         approx_decay_norm(random_even_zonal(3, 8, seed=5), alpha)
 
 
+def test_decay_norm_grows_with_alpha_through_overflow():
+    # 15^300 overflows; the tail past the band limit is 0, and inf * 0 = nan
+    # must not let the plain sup norm win
+    f = random_even_zonal(3, 16, seed=1)
+    norms = [approx_decay_norm(f, a) for a in (0.5, 1, 2, 4, 50, 200, 300, 1e300)]
+    assert all(a <= b for a, b in zip(norms, norms[1:]))
+    assert norms[6] == np.inf
+
+
 @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0])
 def test_interpolation_inequality(sigma):
     # || . ||_alpha <= C(sigma) sup + sigma || . ||_beta with the explicit
@@ -273,9 +280,7 @@ def test_pole_derivatives_match_great_circles(band_limit):
     # function with odd degrees and every order, so every constant counts
     from ibodylab.analysis import _s2_pole_parts
 
-    degs = sh_degrees(band_limit)
-    f = S2Function.from_coeffs(make_rng(band_limit).standard_normal(degs.size)
-                               * (1.0 + degs) ** -1.5)
+    f = random_s2(band_limit, seed=band_limit)
     got = _s2_pole_parts(f)
     want = s2_spectral_parts(f, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
     for g, w in zip(got, want):

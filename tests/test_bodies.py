@@ -90,10 +90,10 @@ def test_rejects_odd_part():
 
 def test_properties():
     b = ball_body(5, 12)
-    assert b.dim == 5
-    assert b.band_limit == 12
-    assert b.representation == "zonal"
-    assert ball_body(3, 6, representation="s2").representation == "s2"
+    assert b.profile.dim == 5
+    assert b.profile.band_limit == 12
+    assert b.profile.representation == "zonal"
+    assert ball_body(3, 6, representation="s2").profile.representation == "s2"
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def test_ball_is_fixed_under_both_routes_property(case, band_limit, method):
 def test_operator_preserves_evenness_and_positivity():
     body = s2_body(12, seed=15, scale=0.2)
     out = intersection_body(body)  # constructor re-checks both invariants
-    degs = np.arange(out.band_limit + 1)
+    degs = np.arange(out.profile.band_limit + 1)
     odd = out.profile.energies()[degs % 2 == 1]
     assert float(np.sum(odd)) <= 1e-20
     assert out.profile.values.min() > 0
@@ -320,7 +320,7 @@ def test_axis_aligned_ellipsoid_zonal():
     # semiaxes are the diagonal entries: rho(x) = 1/|A^{-1} x|, a function of
     # the height t alone when the semiaxes are (a, ..., a, b); zonal for d != 3
     body = ellipsoid_body(np.diag([1.1, 1.1, 1.1, 0.9]))
-    assert body.representation == "zonal" and body.dim == 4
+    assert body.profile.representation == "zonal" and body.profile.dim == 4
     t = np.linspace(-1.0, 1.0, 100)
     want = 1.0 / np.sqrt((1.0 - t**2) / 1.1**2 + t**2 / 0.9**2)
     assert np.max(np.abs(body.profile.eval_at(t) - want)) <= 1e-9
@@ -356,3 +356,15 @@ def test_intersection_body_meta():
     assert "mean_power" in out.meta
     with pytest.raises(ValueError):
         intersection_body(body, method="magic")
+
+
+def test_meta_is_not_copied_to_new_bodies():
+    # the operator's trunc_loss and mean_power describe its own output; a
+    # mapped or rescaled copy of that output is another body
+    from ibodylab.iteration import _rescaled_to_mean_one
+
+    out = intersection_body(zonal_body(3, 8, {2: 0.05, 4: 0.02}))
+    assert set(out.meta) == {"trunc_loss", "mean_power"}
+    assert apply_linear_map(out, np.diag([1.0, 1.0, 1.05])).meta == {}
+    doubled = StarBody(out.profile.with_coeffs(2.0 * out.profile.coeffs), meta=out.meta)
+    assert _rescaled_to_mean_one(doubled).meta == {}

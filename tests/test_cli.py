@@ -323,6 +323,20 @@ def test_non_finite_perturbation_amplitude_is_exit_2(amplitude, capsys):
     assert "epsilon" not in err
 
 
+@pytest.mark.parametrize("amplitude", ["1e200", "1e-200"])
+def test_extreme_perturbation_amplitudes_normalize_like_unit_ones(amplitude, tmp_path, capsys):
+    # the squares of 1e200 overflow and those of 1e-200 underflow; only the
+    # direction of the perturbation counts, so the run matches 4:1,6:1
+    reports = []
+    for amp in ("1", amplitude):
+        out = tmp_path / amp
+        code, _, _ = run_cli(["iterate", "--steps", "3", "--perturb",
+                              f"4:{amp},6:{amp}", "--out", str(out)], capsys)
+        assert code == 0
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[1] == reports[0]
+
+
 # ---------------------------------------------------------------------------
 # failure reporting
 

@@ -13,17 +13,21 @@ from ibodylab import (
     default_rule,
     gauss_jacobi_rule,
     l2_norm,
-    make_rng,
     radon_geometric_s2,
     radon_geometric_zonal,
     radon_multiplier,
     radon_spectral,
-    sh_degrees,
     sh_index,
     smoothing_gain_experiment,
     sphere_exponent,
 )
-from helpers import random_even_s2, random_even_zonal, random_zonal, unfolded_radon_zonal
+from helpers import (
+    random_even_s2,
+    random_even_zonal,
+    random_s2,
+    random_zonal,
+    unfolded_radon_zonal,
+)
 
 ORACLE_TOL = 1e-8
 
@@ -184,20 +188,13 @@ def test_route_agreement_s2(seed):
     assert np.max(np.abs(a - b)) <= ORACLE_TOL
 
 
-def _random_full_s2(band_limit: int, seed: int) -> S2Function:
-    """Gaussian coefficients at every degree and order, odd ones included,
-    damped like the `radon-oracle` inputs."""
-    degs = sh_degrees(band_limit)
-    coeffs = make_rng(seed).standard_normal(degs.size) * (1.0 + degs) ** -1.5
-    return S2Function.from_coeffs(coeffs)
-
-
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(band_limit=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
 def test_route_agreement_s2_property(band_limit, seed):
-    # every order m and odd degrees; the grid directions with |x_1| > 0.9
-    # are where tangent_frame switches axes
-    f = _random_full_s2(band_limit, seed)
+    # every order m and odd degrees, on the closed-form circles
+    # (-x sin tau, cos tau, sqrt(1 - x^2) sin tau) of the directions at
+    # longitude 0 and height x
+    f = random_s2(band_limit, seed)
     gap = np.abs(radon_geometric_s2(f).coeffs - radon_spectral(f).coeffs).max()
     assert gap <= ORACLE_TOL
 
@@ -222,7 +219,7 @@ def test_folded_zonal_route_matches_unfolded_property(d, band_limit, on_work_rul
 
 
 def test_geometric_routes_never_read_the_multiplier_table(monkeypatch):
-    s2 = _random_full_s2(12, seed=7)
+    s2 = random_s2(12, seed=7)
     zonal = random_even_zonal(5, 24, seed=7)
     want = [radon_spectral(f).coeffs for f in (s2, zonal)]
 
