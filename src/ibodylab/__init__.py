@@ -18,7 +18,6 @@ from .analysis import (
     apply_multiplier,
     approx_decay_norm,
     cutoff_profile,
-    derivative_sup_norms,
     l2_norm,
     smooth_cutoff,
     sup_norm,

@@ -1,24 +1,17 @@
-"""Norms, multiplier operators, and derivative bounds.
+"""Norms and multiplier operators.
 
 Functions here accept either representation through the interface that
 ZonalProfile and S2Function share (coeffs, degrees, with_coeffs, energies,
-refined_set, refined_values); only the sup-norm scan and the derivative
-norms, whose algorithms differ, look at which one they got.  Both are
-measured on the profile's refined evaluation set (REFINE = 4 times finer
-than its storage rule or grid); sup norms add a quadratic polish around the
-best node.  Derivatives are exact up to roundoff, never finite differences,
-and refer to the degree-0 homogeneous extension f(x/|x|): its ambient
-Hessian at a surface point has the covariant Hessian as tangential block,
-minus the surface gradient as the radial-tangential entries, and zero
-radially; `_ambient_hessian_norm` assembles it.
+refined_set, refined_values); only the sup-norm scan, whose polish differs,
+looks at which one it got.  Sup norms are measured on the profile's refined
+evaluation set (REFINE = 4 times finer than its storage rule or grid) and
+add a quadratic polish around the best node.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .quadrature import S2Grid
-from .sphharm import S2Function, _grid_tables, _order_slots
 from .zonal import ZonalProfile
 
 
@@ -147,114 +140,3 @@ def _decay_tail(f, alpha: float) -> float:
     with np.errstate(over="ignore"):
         tail_terms = (np.flatnonzero(live) + 1.0) ** alpha * tails[live]
     return float(tail_terms.max()) if tail_terms.size else 0.0
-
-
-# ---------------------------------------------------------------------------
-# derivative sup norms (first and second differentials of the extension)
-
-HESSIAN_BLOCK = 65536  # points per eigvalsh batch in _ambient_hessian_norm
-
-
-def _ambient_hessian_norm(g1, g2, h11, h12, h22) -> np.ndarray:
-    """Largest |eigenvalue| of the ambient Hessian of f(x/|x|) at unit points,
-    from the surface gradient (g1, g2) and covariant Hessian [[h11, h12],
-    [h12, h22]] in an orthonormal tangent frame (radial row: 0, -g1, -g2).
-    The 3x3 matrices are stacked for all points at once, so callers pass
-    at most HESSIAN_BLOCK points (`_s2_grid_parts` goes a block of grid
-    rows at a time), which bounds their memory."""
-    g1, g2, h11, h12, h22 = np.broadcast_arrays(g1, g2, h11, h12, h22)
-    hess = np.stack([
-        np.stack([np.zeros_like(g1), -g1, -g2], axis=-1),
-        np.stack([-g1, h11, h12], axis=-1),
-        np.stack([-g2, h12, h22], axis=-1),
-    ], axis=-2)
-    return np.abs(np.linalg.eigvalsh(hess)).max(axis=-1)
-
-
-def _zonal_hessian_parts(f: ZonalProfile, t: np.ndarray):
-    """(|grad|, operator norm of ambient Hessian) at zonal points t, from
-    `ZonalProfile.derivatives_at`; the d - 2 azimuthal directions share
-    the eigenvalue cot(theta) f_theta = -t f'."""
-    t = np.asarray(t, dtype=float)
-    _, fp, fpp = f.derivatives_at(t)
-    s2 = 1.0 - t * t
-    f_th = -np.sqrt(np.clip(s2, 0.0, None)) * fp          # d/dtheta
-    f_thth = -t * fp + s2 * fpp                            # d2/dtheta2
-    return np.abs(f_th), _ambient_hessian_norm(f_th, 0.0, f_thth, 0.0, -t * fp)
-
-
-def _s2_grid_parts(f: S2Function, grid: S2Grid):
-    """(|grad|, operator norm of ambient Hessian) on a product grid, exact.
-
-    With x = cos theta and s = sin theta > 0 (a product grid holds no pole),
-    dQ_lm/dtheta = (l x Q_lm - r_lm Q_{l-1,m}) / s, r_lm^2 = (2l+1)(l^2-m^2)
-    / (2l-1), and Legendre's equation Q'' = -(x/s) Q' - (l(l+1) - m^2/s^2) Q
-    give the colatitude derivatives from the per-order blocks of synthesis;
-    d/dphi multiplies order m by m and swaps cosine and sine.  The sums
-    over longitude go about HESSIAN_BLOCK points (whole colatitude rows) at
-    a time, which bounds the memory of the derivative arrays.
-    """
-    L = f.band_limit
-    q, cos_t, sin_t = _grid_tables(L, grid)
-    m = np.arange(L + 1)
-    x = grid.x[:, None]
-    s = np.sqrt(1.0 - x * x)
-    # [cosine, sine] x colatitude x order: sums of c Q, c dQ/dtheta, c l(l+1) Q
-    a, b, c = np.zeros((3, 2, grid.n_theta, L + 1))
-    for k, qm in enumerate(q):
-        cos_i, sin_i, scale = _order_slots(L, k)
-        cm = scale * f.coeffs[np.stack((cos_i, sin_i))]
-        l = np.arange(k, L + 1.0)
-        r = np.sqrt((2.0 * l[1:] + 1.0) * (l[1:] ** 2 - k * k) / (2.0 * l[1:] - 1.0))
-        a[:, :, k] = cm @ qm
-        b[:, :, k] = (cm * l) @ qm * grid.x - (cm[:, 1:] * r) @ qm[:-1]
-        c[:, :, k] = (cm * l * (l + 1.0)) @ qm
-    b /= s
-    c = -(x / s) * b - c + (m / s) ** 2 * a               # Legendre's equation
-    lon_sum = lambda p: p[0] @ cos_t + p[1] @ sin_t
-    d_phi = lambda p: np.stack((m * p[1], -m * p[0]))
-    gnorm, hnorm = np.empty((2,) + grid.weights.shape)
-    rows = max(1, HESSIAN_BLOCK // grid.n_phi)
-    for lo in range(0, grid.n_theta, rows):
-        blk = slice(lo, lo + rows)
-        ab, bb, xb, sb = a[:, blk], b[:, blk], x[blk], s[blk]
-        f_t, f_tt = lon_sum(bb), lon_sum(c[:, blk])
-        f_p, f_tp, f_pp = lon_sum(d_phi(ab)), lon_sum(d_phi(bb)), lon_sum(d_phi(d_phi(ab)))
-        g2 = f_p / sb
-        gnorm[blk] = np.hypot(f_t, g2)
-        hnorm[blk] = _ambient_hessian_norm(f_t, g2, f_tt, (f_tp - xb * g2) / sb,
-                                           f_pp / (sb * sb) + (xb / sb) * f_t)
-    return gnorm, hnorm
-
-
-def _s2_pole_parts(f: S2Function):
-    """(|grad|, ambient Hessian norm) at the north and south poles, in closed
-    form in the frame (e_1, e_2): there only order 1 has a gradient, and only
-    orders 0 (Q_l0'' = -sqrt(2l+1) l(l+1)/2 at theta = 0) and 2 a Hessian."""
-    k = np.arange(f.band_limit + 1)
-    c = lambda m: np.where(k >= abs(m), f.coeffs[np.maximum(k * k + k + m, 0)], 0.0)
-    q = np.sqrt(2.0 * k + 1.0) * np.stack((np.ones(k.size), (-1.0) ** k))  # north, south
-    d1 = q * np.sqrt(k * (k + 1.0) / 2.0) * [[1.0], [-1.0]]
-    d2 = q * np.sqrt(2.0 * np.maximum(k - 1.0, 0.0) * k * (k + 1.0) * (k + 2.0)) / 8.0
-    g1, g2 = d1 @ c(1), d1 @ c(-1)
-    h0, a, b = -(q * k * (k + 1.0) / 2.0) @ c(0), d2 @ c(2), d2 @ c(-2)
-    return np.hypot(g1, g2), _ambient_hessian_norm(g1, g2, h0 + 2.0 * a, 2.0 * b, h0 - 2.0 * a)
-
-
-def derivative_sup_norms(f) -> tuple[float, float]:
-    """(sup |Df|, sup |D^2 f|) of the homogeneous extension of f, exact up
-    to roundoff on the refined set.
-
-    Zonal profiles take f' and f'' from `derivatives_at` and polish the
-    best node; S^2 functions differentiate the synthesis on the refined grid
-    and take the poles in closed form.
-    """
-    if isinstance(f, ZonalProfile):
-        pts = f.refined_set()
-        g, h = _zonal_hessian_parts(f, pts)
-        g_at = lambda t: float(_zonal_hessian_parts(f, np.atleast_1d(t))[0][0])
-        h_at = lambda t: float(_zonal_hessian_parts(f, np.atleast_1d(t))[1][0])
-        return _polish_max(pts, g, g_at), _polish_max(pts, h, h_at)
-    g, h = _s2_grid_parts(f, f.refined_grid())
-    gp, hp = _s2_pole_parts(f)
-    return float(max(g.max(), gp.max())), float(max(h.max(), hp.max()))

@@ -177,6 +177,20 @@ def _check_spd(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _inverse_norm(norm, a: np.ndarray):
+    """x -> 1 / norm(x), the radial function of |a x| <= 1; a value that is
+    not finite and positive (a square overflowed or underflowed) raises."""
+    def radial(x):
+        with np.errstate(all="ignore"):
+            vals = 1.0 / norm(x)
+        if not np.all(np.isfinite(vals) & (vals > 0.0)):
+            axes = 1.0 / np.linalg.svd(a, compute_uv=False)
+            raise ValueError(f"the ellipsoid with semiaxes {axes.tolist()} has "
+                             "radial values beyond the floating-point range")
+        return vals
+    return radial
+
+
 def _ellipsoid_profile(a: np.ndarray, band_limit: int):
     """Band-limited projection of x -> 1/|a x| with recorded projection error:
     an S2Function for d = 3, a ZonalProfile otherwise."""
@@ -186,11 +200,12 @@ def _ellipsoid_profile(a: np.ndarray, band_limit: int):
             aa, bb = _axis_form(a)
         except ValueError as exc:
             raise ValueError("zonal ellipsoids require diag(a, ..., a, b)") from exc
-        radial = lambda t: 1.0 / np.sqrt(aa * aa * (1.0 - t * t) + bb * bb * t * t)
+        radial = _inverse_norm(
+            lambda t: np.sqrt(aa * aa * (1.0 - t * t) + bb * bb * t * t), a)
         rule = default_rule(d, band_limit)
         prof = ZonalProfile.from_values(d, band_limit, radial(rule.nodes), rule)
     else:
-        radial = lambda x: 1.0 / np.linalg.norm(x @ a.T, axis=-1)
+        radial = _inverse_norm(lambda x: np.linalg.norm(x @ a.T, axis=-1), a)
         grid = default_s2_grid(band_limit)
         prof = S2Function.from_values(band_limit, radial(grid.points()), grid)
     exact = radial(prof.refined_set())

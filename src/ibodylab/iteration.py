@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import _ambient_hessian_norm, _decay_tail, l2_norm, sup_norm
+from .analysis import _decay_tail, l2_norm, sup_norm
 from .bodies import StarBody, apply_linear_map, intersection_body
 from .sphharm import sh_index
 from .zonal import ZonalProfile
@@ -298,6 +298,14 @@ def _bump_parts(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return b, gp * b, (gpp + gp * gp) * b
 
 
+def _cap_hessian_norm(f_t, f_tt, azim) -> np.ndarray:
+    """Largest |eigenvalue| of the ambient Hessian of a zonal function's
+    homogeneous extension: [[0, -f_t], [-f_t, f_tt]] in the radial and polar
+    directions, whose eigenvalues are (f_tt +- hypot(f_tt, 2 f_t)) / 2, and
+    azim on each of the d - 2 azimuthal directions."""
+    return np.maximum(np.abs(azim), 0.5 * (np.abs(f_tt) + np.hypot(f_tt, 2.0 * f_t)))
+
+
 def cap_scaling_exponents(d: int, widths=None, resolution: int = 4096) -> CapScalingResult:
     """Fit the growth exponents of the sup norm and the gradient sup norm
     against the L2 norm over a family of polar cap bumps.
@@ -319,27 +327,24 @@ def cap_scaling_exponents(d: int, widths=None, resolution: int = 4096) -> CapSca
     if resolution < 64:
         raise ValueError("resolution below 64 cannot resolve the bump")
     area_const = math.gamma(d / 2.0) / (math.sqrt(math.pi) * math.gamma((d - 1) / 2.0))
-    l2s, sups, grads = [], [], []
-    for w in widths:
-        theta = np.linspace(0.0, w, resolution)
-        u = theta / w
-        b = np.zeros_like(u)
-        bp = np.zeros_like(u)
-        bpp = np.zeros_like(u)
-        inside = u < 1.0 - 1e-9
-        b[inside], bp[inside], bpp[inside] = _bump_parts(u[inside])
-        f_t = bp / w
-        f_tt = bpp / (w * w)
-        # cot(theta) f_theta in the azimuthal directions, f_thetatheta at the pole
-        azim = np.concatenate((f_tt[:1], f_t[1:] / np.tan(theta[1:])))
-        amp = 1.0 / _ambient_hessian_norm(f_t, 0.0, f_tt, 0.0, azim).max()
-        density = area_const * np.sin(theta) ** (d - 2)
-        l2s.append(amp * math.sqrt(float(np.trapezoid(b * b * density, theta))))
-        sups.append(amp * float(b.max()))
-        grads.append(amp * float(np.abs(f_t).max()))
-    l2s = np.asarray(l2s)
-    sups = np.asarray(sups)
-    grads = np.asarray(grads)
+    norms = np.empty((3, widths.size))  # L2, sup and gradient sup per width
+    with np.errstate(all="ignore"):  # a width too small to represent is named below
+        for i, w in enumerate(widths):
+            theta = np.linspace(0.0, w, resolution)
+            u = theta / w
+            b, bp, bpp = np.zeros((3, resolution))
+            inside = u < 1.0 - 1e-9
+            b[inside], bp[inside], bpp[inside] = _bump_parts(u[inside])
+            f_t, f_tt = bp / w, bpp / (w * w)
+            # cot(theta) f_theta in the azimuthal directions, f_thetatheta at the pole
+            azim = np.concatenate((f_tt[:1], f_t[1:] / np.tan(theta[1:])))
+            amp = 1.0 / _cap_hessian_norm(f_t, f_tt, azim).max()
+            l2 = np.sqrt(np.trapezoid(b * b * (area_const * np.sin(theta) ** (d - 2)), theta))
+            norms[:, i] = amp * np.array((l2, b.max(), np.abs(f_t).max()))
+    bad = ~np.all(np.isfinite(norms) & (norms > 0.0), axis=0)
+    if bad.any():
+        raise ValueError(f"widths {widths[bad].tolist()} are too small for floating point")
+    l2s, sups, grads = norms
     slope_sup = float(np.polyfit(np.log(l2s), np.log(sups), 1)[0])
     slope_grad = float(np.polyfit(np.log(l2s), np.log(grads), 1)[0])
     return CapScalingResult(

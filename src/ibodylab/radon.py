@@ -148,6 +148,8 @@ def smoothing_gain_experiment(d: int, decay: float = 2.0,
     out_energies = energies * radon_multiplier(d, band_limit) ** 2
     tail_in = np.cumsum(energies[::-1])[::-1]
     tail_out = np.cumsum(out_energies[::-1])[::-1]
+    if not np.all(tail_out[tail_indices + 1] > 0.0):  # then tail_in > 0 too
+        raise ValueError(f"decay {decay!r} is too large: the tail energies underflow to 0")
     ratios = tail_out[tail_indices + 1] / tail_in[tail_indices + 1]
     logs = np.log(tail_indices)
     energy_slope = float(np.polyfit(logs, np.log(ratios), 1)[0])

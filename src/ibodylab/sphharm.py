@@ -70,11 +70,13 @@ def _legendre_orders(band_limit: int, x: np.ndarray):
         qmm = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * s * qmm
 
 
-def _order_slots(band_limit: int, m: int):
-    """Flat indices of the slots (l, m) and (l, -m), l = m..L, and the factor
-    from Q[l, m] to Y_{l,+/-m}; at m = 0 both are the zonal slots."""
-    l = np.arange(m, band_limit + 1)
-    return l * l + l + m, l * l + l - m, (np.sqrt(2.0) if m else 1.0)
+@lru_cache(maxsize=16)
+def _order_slots(band_limit: int):
+    """Per order m = 0..L: flat indices of the slots (l, m) and (l, -m), l =
+    m..L, and the factor from Q[l, m] to Y_{l,+/-m} (both zonal at m = 0)."""
+    ls = [np.arange(m, band_limit + 1) for m in range(band_limit + 1)]
+    return [(l * l + l + m, l * l + l - m, np.sqrt(2.0) if m else 1.0)
+            for m, l in enumerate(ls)]
 
 
 @lru_cache(maxsize=64)
@@ -108,8 +110,7 @@ def analyze_s2(band_limit: int, values: np.ndarray, grid: S2Grid) -> np.ndarray:
     wfc = grid.w_theta[:, None] * (values @ cos_t.T) / grid.n_phi   # (n_theta, L+1)
     wfs = grid.w_theta[:, None] * (values @ sin_t.T) / grid.n_phi
     coeffs = np.empty((L + 1) ** 2)
-    for m, qm in enumerate(q):
-        cos_i, sin_i, scale = _order_slots(L, m)
+    for m, (qm, (cos_i, sin_i, scale)) in enumerate(zip(q, _order_slots(L))):
         coeffs[sin_i] = scale * (qm @ wfs[:, m])  # sine first: at m = 0 slots coincide
         coeffs[cos_i] = scale * (qm @ wfc[:, m])
     return coeffs
@@ -121,8 +122,7 @@ def synthesize_s2(coeffs: np.ndarray, grid: S2Grid) -> np.ndarray:
     L = _band_limit(coeffs)
     q, cos_t, sin_t = _grid_tables(L, grid)
     gc, gs = np.empty((2, grid.n_theta, L + 1))
-    for m, qm in enumerate(q):
-        cos_i, sin_i, scale = _order_slots(L, m)
+    for m, (qm, (cos_i, sin_i, scale)) in enumerate(zip(q, _order_slots(L))):
         gc[:, m] = scale * (coeffs[cos_i] @ qm)
         gs[:, m] = scale * (coeffs[sin_i] @ qm)  # meets sin(0 phi) = 0 at m = 0
     return gc @ cos_t + gs @ sin_t
@@ -132,8 +132,8 @@ def _order_sums(coeffs: np.ndarray, band_limit: int, z: np.ndarray):
     """Yield (m, scale, a_m, b_m), m = 0..L: the cosine and sine sums
     a_m = sum_l c[l, m] Q[l, m](z) and b_m = sum_l c[l, -m] Q[l, m](z) at
     heights z, so f = sum_m scale (a_m cos m phi + b_m sin m phi)."""
-    for m, qm in enumerate(_legendre_orders(band_limit, z)):
-        cos_i, sin_i, scale = _order_slots(band_limit, m)
+    orders = zip(_legendre_orders(band_limit, z), _order_slots(band_limit))
+    for m, (qm, (cos_i, sin_i, scale)) in enumerate(orders):
         yield m, scale, coeffs[cos_i] @ qm, coeffs[sin_i] @ qm
 
 
@@ -150,8 +150,7 @@ def _dfs_coeffs(coeffs: np.ndarray, band_limit: int):
     samples at pi k / (L + 1), extended by a_m(2 pi - theta) = (-1)^m a_m."""
     L = band_limit
     samples = np.empty((2, L + 1, 2 * L + 2))
-    for m, qm in enumerate(_dfs_legendre(L)):
-        cos_i, sin_i, scale = _order_slots(L, m)
+    for m, (qm, (cos_i, sin_i, scale)) in enumerate(zip(_dfs_legendre(L), _order_slots(L))):
         samples[:, m, :L + 2] = scale * (coeffs[np.stack((cos_i, sin_i))] @ qm)
     samples[:, :, L + 2:] = samples[:, :, L:0:-1]
     samples[:, 1::2, L + 2:] *= -1.0

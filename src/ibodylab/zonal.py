@@ -25,13 +25,6 @@ path reads it:
 * `eval_at` of a scalar height runs the recurrence in Python floats (the
   sup-norm polish), of an array builds its table in chunks of at most
   _CHUNK points and of at most a band-256 table's size.
-
-Derivatives come from the same recurrence by a shift of dimension, never
-from finite differences: d/dx C_n^lam = 2 lam C_(n-1)^(lam+1) (DLMF
-18.9.19), and Z_k in dimension d is a multiple of C_k^((d-2)/2), so Z_k' in
-dimension d is kappa_d(k) Z_(k-1) in dimension d + 2, with
-kappa_d(k) = sqrt(d k (k + d - 2) / (d - 1)).  So f' and f'' are zonal
-series in dimensions d + 2 and d + 4.
 """
 
 from __future__ import annotations
@@ -146,12 +139,6 @@ def _series(d: int, coeffs: np.ndarray, t) -> np.ndarray:
     return vals.reshape(t.shape + coeffs.shape[1:])
 
 
-def _shift_factors(d: int, kmax: int) -> np.ndarray:
-    """kappa_d(1..kmax): Z_k' in dimension d is kappa_d(k) Z_(k-1) in d + 2."""
-    k = np.arange(1.0, kmax + 1)
-    return np.sqrt(d * k * (k + d - 2.0) / (d - 1.0))
-
-
 @dataclass(frozen=True, eq=False)
 class ZonalProfile:
     """Band-limited zonal function: coefficients on a quadrature rule.
@@ -206,16 +193,6 @@ class ZonalProfile:
             rows = _basis_rows(self.dim, self.band_limit, float(t))
             return sum(c * z for c, z in zip(self.coeffs.tolist(), rows))
         return _series(self.dim, self.coeffs, t)
-
-    def derivatives_at(self, t):
-        """(f, f', f'') with respect to t at heights t of any shape: series
-        in dimensions d, d + 2 and d + 4 (see the module docstring).  A
-        derivative with no coefficients left (bands 0 and 1) is zero."""
-        d, k = self.dim, self.band_limit
-        c1 = self.coeffs[1:] * _shift_factors(d, k)
-        c2 = c1[1:] * _shift_factors(d + 2, k - 1)
-        return tuple(_series(d + 2 * i, c, t) if c.size else np.zeros(np.shape(t))
-                     for i, c in enumerate((self.coeffs, c1, c2)))
 
     @property
     def degrees(self) -> np.ndarray:

@@ -2,9 +2,8 @@
 independent oracles: the direct section-volume quadrature that checks
 `intersection_body` (its output times meta["mean_power"] is the raw
 transform R(rho^(d-1))), the unfolded geometric zonal route that checks
-the folded one, the per-order point evaluation that checks the
-double-Fourier-sphere evaluator, and the great-circle differentiation that
-checks the S^2 derivative norms.
+the folded one, and the per-order point evaluation that checks the
+double-Fourier-sphere evaluator.
 
 Everything random routes through make_rng so each test pins its own seed
 and reruns reproduce the same numbers bit for bit.
@@ -23,7 +22,6 @@ from ibodylab import (
     subsphere_rule,
     sup_norm,
 )
-from ibodylab.analysis import _ambient_hessian_norm
 from ibodylab.cli import _random_even_zonal, _random_s2
 from ibodylab.sphharm import _band_limit, _order_sums
 
@@ -193,38 +191,3 @@ def order_sum_eval(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     for m, scale, a, b in _order_sums(coeffs, _band_limit(coeffs), points[:, 2]):
         out += scale * (a * np.cos(m * phi) + b * np.sin(m * phi))
     return out
-
-
-CIRCLE_BLOCK = 1024  # points per batch of great circles in s2_spectral_parts
-
-
-def s2_spectral_parts(f: S2Function, pts: np.ndarray):
-    """(|grad|, operator norm of ambient Hessian) at unit points by exact
-    great-circle differentiation (trig-polynomial DFT).
-
-    Restricted to a great circle through x a band-L function is a degree-L
-    trigonometric polynomial, so derivatives at the point are exact up to
-    roundoff.  Points go CIRCLE_BLOCK at a time to bound the memory of the
-    circles.
-    """
-    M = 2 * f.band_limit + 9
-    s = 2.0 * np.pi * np.arange(M) / M
-    cs, sn = np.cos(s)[:, None, None], np.sin(s)[:, None, None]
-    m = np.arange(M // 2 + 1)[1:, None]
-    gnorm, hnorm = np.empty((2, len(pts)))
-
-    def circle_derivs(x, w):
-        vals = f.eval_at_points(cs * x + sn * w)           # (M, n)
-        F = np.fft.rfft(vals, axis=0)[1:] / M
-        return (-2.0 * F.imag * m).sum(axis=0), (-2.0 * F.real * m * m).sum(axis=0)
-
-    for lo in range(0, len(pts), CIRCLE_BLOCK):
-        x = pts[lo:lo + CIRCLE_BLOCK]
-        u, v = tangent_frame(x)
-        du, huu = circle_derivs(x, u)
-        dv, hvv = circle_derivs(x, v)
-        _, hdiag = circle_derivs(x, (u + v) / np.sqrt(2.0))
-        huv = hdiag - 0.5 * (huu + hvv)
-        gnorm[lo:lo + CIRCLE_BLOCK] = np.hypot(du, dv)
-        hnorm[lo:lo + CIRCLE_BLOCK] = _ambient_hessian_norm(du, dv, huu, huv, hvv)
-    return gnorm, hnorm

@@ -1,24 +1,19 @@
 """Fourier multipliers and the norm estimators."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from ibodylab import (
-    S2Function,
     ZonalProfile,
     apply_multiplier,
     approx_decay_norm,
     cutoff_profile,
-    derivative_sup_norms,
     l2_norm,
     smooth_cutoff,
-    sh_index,
     sup_norm,
     zonal_basis_matrix,
 )
-from helpers import random_even_s2, random_even_zonal, random_s2, s2_spectral_parts
+from helpers import random_even_s2, random_even_zonal
 
 
 # ---------------------------------------------------------------------------
@@ -218,83 +213,3 @@ def test_interpolation_inequality(sigma):
         lhs = approx_decay_norm(f, alpha)
         rhs = C * sup_norm(f) + sigma * approx_decay_norm(f, beta)
         assert lhs <= rhs + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# derivative estimates
-
-def test_derivative_norms_of_constant():
-    f = ZonalProfile.from_coeffs(3, np.array([3.0]))
-    d1, d2 = derivative_sup_norms(f)
-    assert d1 <= 1e-12 and d2 <= 1e-12
-
-
-def test_derivative_norms_of_height_squared():
-    # f = x3^2 - 1/3 on S^2: max |grad| = 1 at 45 degrees, max |hess| = 2
-    from ibodylab import default_rule
-
-    rule = default_rule(3, 4)
-    f = ZonalProfile.from_values(3, 4, rule.nodes**2 - 1.0 / 3.0, rule)
-    d1, d2 = derivative_sup_norms(f)
-    assert d1 == pytest.approx(1.0, abs=1e-6)
-    assert d2 == pytest.approx(2.0, abs=1e-6)
-
-
-def test_derivative_estimators_agree_zonal():
-    # an axisymmetric S^2 copy (Y_l0 = Z_l) through the grid path against the
-    # differentiated zonal recurrence, pointwise at the grid's heights; the
-    # grid's sup norms are samples of the polished zonal maxima
-    from ibodylab.analysis import _s2_grid_parts, _zonal_hessian_parts
-
-    z = random_even_zonal(3, 14, seed=6)
-    coeffs = np.zeros(15**2)
-    coeffs[[sh_index(l, 0) for l in range(15)]] = z.coeffs
-    axi = S2Function.from_coeffs(coeffs)
-    grid = axi.refined_grid()
-    g, h = _s2_grid_parts(axi, grid)
-    g_z, h_z = _zonal_hessian_parts(z, grid.x)
-    assert np.abs(g - g_z[:, None]).max() <= 1e-12 * g_z.max()
-    assert np.abs(h - h_z[:, None]).max() <= 1e-12 * h_z.max()
-    a1, a2 = derivative_sup_norms(z)
-    b1, b2 = derivative_sup_norms(axi)
-    assert b1 <= a1 * (1.0 + 1e-12)
-    assert b2 <= a2 * (1.0 + 1e-12)
-
-
-def test_derivative_estimators_agree_s2():
-    # the exact grid path against the independent great-circle DFT at every
-    # refined grid point
-    from ibodylab.analysis import _s2_grid_parts
-
-    f = random_even_s2(10, seed=6)
-    grid = f.refined_grid()
-    g, h = _s2_grid_parts(f, grid)
-    g_gc, h_gc = s2_spectral_parts(f, grid.points().reshape(-1, 3))
-    assert np.abs(g.ravel() - g_gc).max() <= 1e-12 * g_gc.max()
-    assert np.abs(h.ravel() - h_gc).max() <= 1e-12 * h_gc.max()
-
-
-@pytest.mark.parametrize("band_limit", [4, 10, 33])
-def test_pole_derivatives_match_great_circles(band_limit):
-    # the closed-form pole constants against the great-circle DFT, on a
-    # function with odd degrees and every order, so every constant counts
-    from ibodylab.analysis import _s2_pole_parts
-
-    f = random_s2(band_limit, seed=band_limit)
-    got = _s2_pole_parts(f)
-    want = s2_spectral_parts(f, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
-    for g, w in zip(got, want):
-        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
-
-
-def test_s2_derivative_norms_memory():
-    # the grid path goes a block of colatitude rows at a time; holding the
-    # whole (545, 1089) refined grid's derivative arrays peaked at 74 MB
-    f = random_even_s2(64, seed=1)
-    tracemalloc.start()
-    try:
-        derivative_sup_norms(f)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 50e6

@@ -281,6 +281,28 @@ def test_unparsable_list_flag_keeps_its_message(argv, message, capsys):
     assert "_parse" not in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["cap-scaling", "--widths", "1e-300,0.1"], "[1e-300]"),
+    (["cap-scaling", "--widths", "1e-150,0.1"], "[1e-150]"),
+    (["smoothing-gain", "--decay", "1e10"], "decay"),
+    (["ellipsoid-check", "--axes", "1e200,1,1"], "1e+200"),
+], ids=["widths-1e-300", "widths-1e-150", "decay-1e10", "axes-1e200"])
+def test_inputs_beyond_the_floating_point_range_are_exit_2(argv, named, capfd):
+    # squares and powers that overflow or underflow end in a check that
+    # names the input, not in a RuntimeWarning or a LAPACK failure; capfd
+    # also sees what native code prints
+    code, out, err = run_cli(argv, capfd)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert named in err
+
+
+def test_cap_scaling_small_representable_width_fits(capsys):
+    code, _, _ = run_cli(["cap-scaling", "--widths", "1e-8,0.1"], capsys)
+    assert code == 0
+
+
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_config_file_of_every_default_resolves_like_no_config(command, tmp_path):
     # every default passes the check of its own option kind

@@ -134,8 +134,8 @@ SURFACE = {
     "S2Function", "analyze_s2", "default_s2_grid", "eval_s2_at_points",
     "sh_degrees", "sh_index", "synthesize_s2",
     # norms and multipliers
-    "apply_multiplier", "approx_decay_norm", "cutoff_profile",
-    "derivative_sup_norms", "l2_norm", "smooth_cutoff", "sup_norm",
+    "apply_multiplier", "approx_decay_norm", "cutoff_profile", "l2_norm",
+    "smooth_cutoff", "sup_norm",
     # the Radon transform
     "SmoothingGainResult", "radon_geometric_s2", "radon_geometric_zonal",
     "radon_multiplier", "radon_spectral", "smoothing_gain_experiment",
@@ -152,7 +152,7 @@ SURFACE = {
 
 
 def test_package_exports_exactly_the_audited_surface():
-    assert len(SURFACE) == 46
+    assert len(SURFACE) == 45
     assert set(ibodylab.__all__) == SURFACE
 
 
@@ -224,3 +224,27 @@ def test_demos_and_benchmark_use_only_exported_names():
     missing = {f"{p.relative_to(root)}: {name}" for p in scripts
                for name in _names_taken_from_the_package(p) - set(ibodylab.__all__)}
     assert not missing
+
+
+# The one export with no caller: `approx_decay_norm` defines the `u_alpha`
+# cell of the iterate report (the library computes that cell from its
+# private tail term), and its tests pin that cell's overflow behaviour.
+UNCALLED_EXPORTS = {"approx_decay_norm"}
+
+
+def test_every_export_has_a_caller():
+    # the rule of SURFACE: each exported name is read, as a name or an
+    # attribute, somewhere in the package, the demos or the benchmark
+    root = Path(__file__).resolve().parent.parent
+    scripts = ([p for p in sorted(root.glob("src/ibodylab/*.py")) if p.name != "__init__.py"]
+               + sorted(root.glob("demos/*.py"))
+               + [p for p in sorted(root.glob("benchmarks/*.py")) if p.name != "test_tracer.py"])
+    used = set()
+    for path in scripts:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert UNCALLED_EXPORTS <= set(ibodylab.__all__)
+    assert sorted(set(ibodylab.__all__) - used) == sorted(UNCALLED_EXPORTS)

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ibodylab import (
     DivergenceError,
@@ -33,6 +33,7 @@ from helpers import (
     s2_body,
     zonal_body,
 )
+from ibodylab.iteration import _cap_hessian_norm
 
 
 # ---------------------------------------------------------------------------
@@ -400,3 +401,26 @@ def test_cap_scaling_validation():
         cap_scaling_exponents(3, widths=[0.3, 2.0])
     with pytest.raises(ValueError):
         cap_scaling_exponents(3, resolution=32)
+
+
+_MAGNITUDE = st.one_of(st.just(0.0), st.floats(1e-100, 1e100))
+_SIGNED = st.tuples(_MAGNITUDE, st.sampled_from((-1.0, 1.0))).map(lambda p: p[0] * p[1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(d=st.sampled_from((3, 4, 7)), f_t=_SIGNED, f_tt=_SIGNED, azim=_SIGNED)
+@example(d=3, f_t=0.0, f_tt=0.0, azim=0.0)
+@example(d=4, f_t=0.0, f_tt=-2.0, azim=1.0)
+@example(d=7, f_t=1e-100, f_tt=0.0, azim=-1e-100)
+@example(d=3, f_t=-1e100, f_tt=1e100, azim=1e-100)
+@example(d=4, f_t=1e100, f_tt=-1e-100, azim=0.0)
+def test_cap_hessian_norm_is_the_largest_eigenvalue(d, f_t, f_tt, azim):
+    # the closed form against eigvalsh of the whole d x d ambient Hessian:
+    # the radial-polar block plus azim on each azimuthal direction
+    m = np.zeros((d, d))
+    m[0, 1] = m[1, 0] = -f_t
+    m[1, 1] = f_tt
+    m[range(2, d), range(2, d)] = azim
+    want = np.abs(np.linalg.eigvalsh(m)).max(-1)
+    got = _cap_hessian_norm(np.array([f_t]), np.array([f_tt]), np.array([azim]))[0]
+    assert abs(got - want) <= 1e-14 * want

@@ -82,47 +82,6 @@ def test_eval_at_matches_node_values():
     assert np.max(np.abs(f.eval_at(f.rule.nodes) - f.values)) <= 1e-12
 
 
-def test_derivatives_at_against_finite_differences():
-    f = random_even_zonal(3, 12, seed=5)
-    t = np.linspace(-0.9, 0.9, 25)
-    vals, d1, d2 = f.derivatives_at(t)
-    h = 1e-5
-    fd1 = (f.eval_at(t + h) - f.eval_at(t - h)) / (2 * h)
-    fd2 = (f.eval_at(t + h) - 2 * vals + f.eval_at(t - h)) / h**2
-    assert np.max(np.abs(d1 - fd1)) <= 1e-6 * (1 + np.max(np.abs(d1)))
-    assert np.max(np.abs(d2 - fd2)) <= 1e-4 * (1 + np.max(np.abs(d2)))
-
-
-@pytest.mark.parametrize("d", [3, 4, 5, 7, 10])
-@pytest.mark.parametrize("k", [24, 64])
-def test_derivatives_at_against_chebyshev_interpolant(d, k):
-    # f is a polynomial of degree k, so its degree-k Chebyshev interpolant
-    # is f itself and differentiates independently of the zonal basis
-    rng = make_rng(40 + d)
-    f = ZonalProfile.from_coeffs(d, rng.standard_normal(k + 1) / (1.0 + np.arange(k + 1)))
-    cheb = np.polynomial.Chebyshev.interpolate(f.eval_at, k)
-    t = np.concatenate(([-1.0], rng.uniform(-1.0, 1.0, 301), [1.0]))
-    vals, d1, d2 = f.derivatives_at(t)
-    assert np.array_equal(vals, f.eval_at(t))
-    for got, want in ((d1, cheb.deriv(1)(t)), (d2, cheb.deriv(2)(t))):
-        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
-
-
-@pytest.mark.parametrize("t", [np.array(0.3), np.linspace(-1.0, 1.0, 12).reshape(3, 4)])
-def test_derivatives_at_bands_zero_and_one(t):
-    # no coefficient is left for f'' at band 1, nor for f' at band 0: zeros
-    # of the input's shape; at band 1 f' is constant, Z_1 = sqrt(d) t
-    d = 4
-    vals, d1, d2 = ZonalProfile.from_coeffs(d, [2.0]).derivatives_at(t)
-    assert vals.shape == d1.shape == d2.shape == t.shape
-    assert np.allclose(vals, 2.0, rtol=1e-15, atol=0.0)
-    assert not d1.any() and not d2.any()
-    vals, d1, d2 = ZonalProfile.from_coeffs(d, [2.0, 0.5]).derivatives_at(t)
-    assert vals.shape == d1.shape == d2.shape == t.shape
-    assert np.allclose(d1, 0.5 * np.sqrt(d), rtol=1e-15, atol=0.0)
-    assert not d2.any()
-
-
 def test_with_coeffs_and_energies():
     f = random_even_zonal(4, 10, seed=2)
     e = f.energies()
