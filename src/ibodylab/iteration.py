@@ -320,8 +320,8 @@ def cap_scaling_exponents(d: int, widths=None, resolution: int = 4096) -> CapSca
     if widths is None:
         widths = np.geomspace(0.05, 0.4, 6)
     widths = np.asarray(widths, dtype=float)
-    if widths.ndim != 1 or widths.size < 2:
-        raise ValueError("need at least two widths to fit a slope")
+    if widths.ndim != 1 or np.unique(widths).size < 2:
+        raise ValueError("need at least two distinct widths to fit a slope")
     if np.any(widths <= 0.0) or np.any(widths >= math.pi / 2):
         raise ValueError("widths must lie in (0, pi/2)")
     if resolution < 64:

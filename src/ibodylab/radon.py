@@ -18,19 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sphharm import S2Function, _grid_tables, _order_sums
-from .zonal import ZonalProfile, subsphere_rule
+from .zonal import ZonalProfile, _even_series, subsphere_rule
 
 
 def radon_multiplier(d: int, kmax: int) -> np.ndarray:
     """Signed per-degree multipliers (-1)^(k/2) v(d, k) for degrees 0..kmax,
     with v(d, 0) = 1 and v(d, k) = v(d, k-2) (k-1)/(d+k-3) for even k; odd
     degrees, which the transform annihilates, get 0."""
+    k = np.arange(2, kmax + 1, 2)
     out = np.zeros(kmax + 1)
     out[0] = 1.0
-    v = 1.0
-    for k in range(2, kmax + 1, 2):
-        v *= (k - 1.0) / (d + k - 3.0)
-        out[k] = (-1.0) ** (k // 2) * v
+    out[2::2] = np.cumprod((k - 1.0) / (d + k - 3.0))
+    out[2::4] *= -1.0  # k/2 odd
     return out
 
 
@@ -51,14 +50,17 @@ def radon_geometric_zonal(f: ZonalProfile) -> ZonalProfile:
     Both rules are symmetric: heights t < 0 mirror those t >= 0, and sum_j
     w_j f(s_j r) = sum_(s_j > 0) 2 w_j f_even(s_j r) + w_0 f(0) (odd orders
     only; f_even drops the odd degrees), so a quarter of the points suffice.
+    f_even is a series in t^2: it is summed on the half-length recurrence in
+    t^2 of its K/2 + 1 even rows (`zonal._even_series`), with no basis table.
+    The route never reads the multiplier table, so it stays independent of
+    `radon_spectral`.
     """
     rule, sub = f.rule, subsphere_rule(f.dim, f.band_limit + 8)
     w = 2.0 * sub.weights[sub.order // 2:]
     w[:sub.order % 2] /= 2.0  # a centre node 0 counts once
-    f_even = f.with_coeffs(np.where(f.degrees % 2, 0.0, f.coeffs))
     radial = np.sqrt(np.clip(1.0 - rule.nodes[rule.order // 2:] ** 2, 0.0, None))
     args = np.outer(radial, sub.nodes[sub.order // 2:])
-    out = f_even.eval_at(args.ravel()).reshape(args.shape) @ w
+    out = _even_series(f.dim, f.coeffs, args) @ w
     out_vals = np.concatenate((out[rule.order % 2:][::-1], out))
     return ZonalProfile.from_values(f.dim, f.band_limit, out_vals, rule)
 

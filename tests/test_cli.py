@@ -298,6 +298,14 @@ def test_inputs_beyond_the_floating_point_range_are_exit_2(argv, named, capfd):
     assert named in err
 
 
+def test_cap_scaling_repeated_widths_are_exit_2(capfd):
+    code, out, err = run_cli(["cap-scaling", "--widths", "0.1,0.1"], capfd)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "distinct widths" in err
+
+
 def test_cap_scaling_small_representable_width_fits(capsys):
     code, _, _ = run_cli(["cap-scaling", "--widths", "1e-8,0.1"], capsys)
     assert code == 0

@@ -403,6 +403,13 @@ def test_cap_scaling_validation():
         cap_scaling_exponents(3, resolution=32)
 
 
+@pytest.mark.parametrize("widths", [[0.1, 0.1], [0.2, 0.2, 0.2]])
+def test_cap_scaling_needs_two_distinct_widths(widths):
+    # equal abscissae leave the slope undetermined
+    with pytest.raises(ValueError, match="distinct widths"):
+        cap_scaling_exponents(3, widths=widths)
+
+
 _MAGNITUDE = st.one_of(st.just(0.0), st.floats(1e-100, 1e100))
 _SIGNED = st.tuples(_MAGNITUDE, st.sampled_from((-1.0, 1.0))).map(lambda p: p[0] * p[1])
 

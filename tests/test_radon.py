@@ -2,6 +2,7 @@
 
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,25 @@ def test_multiplier_signs_and_decay():
             assert np.sign(mu[k]) == (-1.0) ** (k // 2)
         mags = np.abs(mu[0::2])
         assert np.all(np.diff(mags) < 0)
+
+
+def _loop_multiplier(d: int, kmax: int) -> np.ndarray:
+    """The multiplier table degree by degree: the reference for the
+    cumulative product in `radon_multiplier`."""
+    out = np.zeros(kmax + 1)
+    out[0] = 1.0
+    v = 1.0
+    for k in range(2, kmax + 1, 2):
+        v *= (k - 1.0) / (d + k - 3.0)
+        out[k] = (-1.0) ** (k // 2) * v
+    return out
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 10, 20])
+def test_multiplier_matches_degree_loop_bit_for_bit(d):
+    # the same products in the same order, so equal to the last bit
+    for kmax in (0, 1, 2, 3, 40, 257, 1536, 4096):
+        assert np.array_equal(radon_multiplier(d, kmax), _loop_multiplier(d, kmax))
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +236,20 @@ def test_folded_zonal_route_matches_unfolded_property(d, band_limit, on_work_rul
     want = unfolded_radon_zonal(f).coeffs
     assert np.abs(got - want).max() <= 1e-13 * np.abs(f.coeffs).max()
     assert np.abs(got - radon_spectral(f).coeffs).max() <= ORACLE_TOL
+
+
+def test_geometric_zonal_memory():
+    # the route sums its even series row by row at its 34 320 folded
+    # heights; one 16 384-point chunk of the K = 256 basis table is 34 MB
+    f = random_even_zonal(3, 256, seed=5)
+    radon_geometric_zonal(f)  # build the rules first
+    tracemalloc.start()
+    try:
+        radon_geometric_zonal(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_geometric_routes_never_read_the_multiplier_table(monkeypatch):
