@@ -17,6 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
+import resource
 import sys
 import time
 from pathlib import Path
@@ -57,6 +60,7 @@ ELLIPSOID_TOL = 1e-6
 MULTIPLIER_CAP = 10.0
 SMOOTHING_SLOPE_TOL = 0.3
 CAP_EXPONENT_TOL = 0.1
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -213,11 +217,6 @@ def _emit(command: str, cfg: dict, header: list[str], rows: list[list],
         (target / "report.csv").write_text(csv_text)
         (target / "config.resolved.json").write_text(
             json.dumps(_json_safe(cfg), indent=2, sort_keys=True) + "\n")
-        (target / "run_meta.json").write_text(json.dumps({
-            "created_unix": time.time(),
-            "argv": sys.argv[1:],
-            "version": __version__,
-        }, indent=2, sort_keys=True) + "\n")
     if cfg.get("format") == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -579,9 +578,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    started = time.perf_counter()
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command][0](_resolve_config(args))
+        cfg = _resolve_config(args)
+        code = COMMANDS[args.command][0](cfg)
     except ValueError as exc:
         # ConfigError, or a library check that rejects the input
         print(f"error: {exc}", file=sys.stderr)
@@ -589,6 +590,18 @@ def main(argv: list[str] | None = None) -> int:
     except (PositivityError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if cfg.get("out"):  # every command that returns has written its report there
+        (Path(cfg["out"]) / "run_meta.json").write_text(json.dumps({
+            "created_unix": time.time(),
+            "argv": sys.argv[1:],
+            "version": __version__,
+            "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                            "platform": platform.platform(), "nproc": os.cpu_count(),
+                            **{var: os.environ.get(var) for var in _THREAD_VARS}},
+            "wall_s": time.perf_counter() - started,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,  # KiB
+        }, indent=2, sort_keys=True) + "\n")
+    return code
 
 
 if __name__ == "__main__":

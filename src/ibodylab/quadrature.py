@@ -12,17 +12,23 @@ Two reductions are used throughout the package:
 All weights are normalized to total mass 1, so constants integrate to 1 and
 no surface-area factors appear downstream.
 
-Gauss rules are built with numpy alone, after Golub & Welsch (1969).  The
-symmetric Jacobi matrix J of the weight has a zero diagonal, so J^2 splits
-into two tridiagonal blocks by the parity of the row; the block on the odd
-rows, of size n // 2, has the squares of the positive nodes as eigenvalues
-for either parity of n.  `numpy.linalg.eigvalsh` of that half-size block
-gives them, two Newton steps on p_n polish their square roots, and the
-weights are the Christoffel numbers 1 / (p_0^2 + ... + p_{n-1}^2) of the
-orthonormal p_k, normalized to sum 1.  The recurrence runs two degrees at
-a time, so no (n, n) or (n, n/2) table is stored.  The negative half is
-the mirror image of the positive one (plus the node 0 when n is odd), so
-the +/- symmetry of nodes and weights is exact.
+Gauss rules are built with numpy alone, in O(n) memory and with no eigensolver:
+an asymptotic start, then Newton (Hale & Townsend, SIAM J. Sci. Comput. 35,
+2013, A652).  u = sin^(lam+1/2)(theta) p_n(cos theta) solves
+u'' + [rho^2 - (lam^2 - 1/4) / sin^2 theta] u = 0 with rho = n + lam + 1/2.
+With a^2 = max(lam^2 - 1/4, 0) and A^2 = rho^2 - a^2, its Liouville-Green phase
+(Olver, Asymptotics and Special Functions, 1974, ch. 6) in x = cos theta is
+F(x) = rho arcsin(rho x / A) - a arctan(a x / sqrt(A^2 - rho^2 x^2)), and the
+k-th node from the turning point solves
+F = (rho - a) pi/2 - (k - 1/4 - (a - lam)/2) pi: from the centre, that is
+F = (j + 1/2) pi for even n and j pi for odd n, j = 0, 1, ...  The start is
+exact at lam = +/- 1/2.  Two Newton sweeps in theta on u follow (cubic, as
+u'' = 0 at the zeros), then one in x, which puts each node on its
+floating-point fixed point; p_n' comes from (1 - x^2) p_n' =
+2 rho c_n p_(n-1) - n x p_n, c_n the last recurrence coefficient.  The weights
+are the Christoffel numbers 1 / (p_0^2 + ... + p_(n-1)^2) at the returned
+nodes, normalized to sum 1.  Only the nonnegative half is built and then
+mirrored, so the +/- symmetry of nodes and weights is exact.
 """
 
 from __future__ import annotations
@@ -150,20 +156,27 @@ def gauss_jacobi_rule(d: int, exponent: float, n: int) -> JacobiRule:
 @lru_cache(maxsize=256)
 def _rule_cached(d: int, exponent: float, n: int) -> JacobiRule:
     c = recurrence_offdiag(exponent, n + 1)
-    # J^2 restricted to the odd rows of the n x n Jacobi matrix: with
-    # c_0 = c_n = 0, its diagonal is c_{2j+1}^2 + c_{2j+2}^2 and its
-    # off-diagonal c_{2j+2} c_{2j+3}; eigvalsh reads the lower triangle
-    pad = np.concatenate(([0.0], c[:-1], [0.0]))
-    m = n // 2
-    odd, even = pad[1:2 * m:2], pad[2:2 * m + 1:2]
-    block = np.diag(odd**2 + even**2)
-    rows = np.arange(m - 1)
-    block[rows + 1, rows] = even[:-1] * odd[1:]
-    # nonnegative half of the nodes: 0 when n is odd, then x = sqrt(x^2)
-    half = np.concatenate((np.zeros(n % 2), np.sqrt(np.linalg.eigvalsh(block))))
+    rho = n + exponent + 0.5
+    a2 = max(exponent * exponent - 0.25, 0.0)
+    a, big_a2 = np.sqrt(a2), rho * rho - a2
+    # the phase start, solved in psi = arcsin(rho x / A): F(psi) is concave
+    # and below rho psi, so Newton from target / rho climbs to the root
+    target = np.pi * (np.arange((n + 1) // 2) + (1 - n % 2) / 2)
+    psi = target / rho
+    for _ in range(4):
+        cos2 = np.cos(psi) ** 2
+        phase = rho * psi - a * np.arctan(a / rho * np.tan(psi))
+        psi -= (phase - target) * (a2 + big_a2 * cos2) / (rho * big_a2 * cos2)
+    # Newton in theta, on sigma = pi/2 - theta: x = sin(sigma) keeps its digits
+    sigma = np.arcsin(np.sqrt(big_a2) / rho * np.sin(psi))
     for _ in range(2):
-        half = half - _recurrence_sweep(c, half)[0]
-    w = 1.0 / _recurrence_sweep(c, half)[1]
+        x = np.sin(sigma)
+        p, p_prev = _newton_sweep(c, x)
+        sigma += np.cos(sigma) * p / (rho * (x * p - 2.0 * c[-1] * p_prev))
+    x = np.sin(sigma)
+    p, p_prev = _newton_sweep(c, x)
+    half = x - (1.0 - x) * (1.0 + x) * p / (2.0 * rho * c[-1] * p_prev - n * x * p)
+    w = 1.0 / _christoffel_sum(c, half)
     pos = slice(n % 2, None)
     nodes = np.concatenate((-half[pos][::-1], half))
     weights = np.concatenate((w[pos][::-1], w))
@@ -174,23 +187,26 @@ def _rule_cached(d: int, exponent: float, n: int) -> JacobiRule:
     return JacobiRule(d, exponent, nodes, weights)
 
 
-def _recurrence_sweep(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton step p_n / p_n' and Christoffel sum p_0^2 + ... + p_{n-1}^2
-    at x, for the orthonormal p_k of c = recurrence_offdiag(exponent, n + 1).
-
-    Runs the three-term recurrence and its derivative two degrees at a
-    time, so memory stays O(x.size).
-    """
+def _newton_sweep(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal p_n and p_(n-1) at x, c = recurrence_offdiag(exponent, n + 1)."""
     p_prev, p = np.zeros_like(x), np.ones_like(x)
-    dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
-    christoffel = np.zeros_like(x)
     c_prev = 0.0
     for ck in c:
-        christoffel += p * p
         p_prev, p = p, (x * p - c_prev * p_prev) / ck
-        dp_prev, dp = dp, (p_prev + x * dp - c_prev * dp_prev) / ck
         c_prev = ck
-    return p / dp, christoffel
+    return p, p_prev
+
+
+def _christoffel_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """p_0^2 + ... + p_(n-1)^2 at x, for the same p_k as `_newton_sweep`."""
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    total = np.ones_like(x)
+    c_prev = 0.0
+    for ck in c[:-1]:
+        p_prev, p = p, (x * p - c_prev * p_prev) / ck
+        total += p * p
+        c_prev = ck
+    return total
 
 
 def s2_grid(level: int) -> S2Grid:

@@ -42,7 +42,13 @@ def test_eigen_check_writes_report(tmp_path, capsys):
     row = next(r for r in doc["rows"] if r["dim"] == 3 and r["degree"] == 2)
     assert row["spectral"] == -0.5
     meta = json.loads((out_dir / "run_meta.json").read_text())
-    assert set(meta) == {"argv", "created_unix", "version"}
+    assert set(meta) == {"argv", "created_unix", "version", "environment", "wall_s",
+                         "peak_rss_mb"}
+    assert set(meta["environment"]) == {
+        "python", "numpy", "platform", "nproc",
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert meta["wall_s"] > 0.0
+    assert meta["peak_rss_mb"] > 0.0
 
 
 def test_radon_oracle_passes(tmp_path, capsys):
