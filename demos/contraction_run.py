@@ -22,14 +22,14 @@ for d, predicted in ((3, 0.75), (4, 0.60)):
     rep = run_iteration(start_body(d, 1e-3), IterationOptions(max_steps=12))
     print(f"\nd = {d}: predicted dominant rate {predicted}")
     print(f"{'step':>4} {'l2':>12} {'sup':>12} {'ratio':>8} {'|Q|':>9}")
-    for rec in rep.records:
+    for m, rec in enumerate(rep.records):
         ratio = "" if np.isnan(rec.ratio) else f"{rec.ratio:.4f}"
-        print(f"{rec.m:>4} {rec.l2:>12.3e} {rec.sup:>12.3e} {ratio:>8} {rec.q_norm:>9.2e}")
+        print(f"{m:>4} {rec.l2:>12.3e} {rec.sup:>12.3e} {ratio:>8} {rec.q_norm:>9.2e}")
     print(f"asymptotic ratio {rep.asymptotic_ratio:.4f}"
           f"  ({rep.stopped_reason}, monotone after first: {rep.monotone_after_first})")
 
 # without the correction the degree-2 component just oscillates
-rep = run_iteration(start_body(3, 1e-3), IterationOptions(max_steps=8, kill_h2=False))
+rep = run_iteration(start_body(3, 1e-3), IterationOptions(max_steps=8, mode="uncorrected"))
 print("\nd = 3 without the degree-2 correction:")
 print("  ratios:", " ".join(f"{r.ratio:.4f}" for r in rep.records[1:]))
 print("  the ratio pins near 1 because the degree-2 part refuses to die")

@@ -67,6 +67,8 @@ def ball_body(d: int, band_limit: int, representation: str = "zonal") -> StarBod
         c = np.zeros(band_limit + 1)
         c[0] = 1.0
         return StarBody(ZonalProfile.from_coeffs(d, c))
+    if representation != "s2":
+        raise ValueError(f"unknown representation {representation!r}")
     if d != 3:
         raise ValueError("s2 representation requires d = 3")
     c = np.zeros((band_limit + 1) ** 2)

@@ -36,6 +36,7 @@ from .bodies import (
     intersection_body,
 )
 from .iteration import (
+    MODES,
     DivergenceError,
     IterationOptions,
     cap_scaling_exponents,
@@ -52,7 +53,7 @@ from .seeding import make_rng
 from .sphharm import S2Function, sh_degrees, sh_index
 from .zonal import ZonalProfile
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EIGEN_TOL = 1e-8
 ORACLE_TOL = 1e-8
@@ -60,6 +61,7 @@ ELLIPSOID_TOL = 1e-6
 MULTIPLIER_CAP = 10.0
 SMOOTHING_SLOPE_TOL = 0.3
 CAP_EXPONENT_TOL = 0.1
+_PRESETS = ("z4-mix", "h2-only", "random-even")
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -92,11 +94,9 @@ def _parse_perturb(text: str) -> dict[int, float]:
             deg_s, amp_s = part.split(":")
             out[int(deg_s)] = float(amp_s)
         except ValueError as exc:
-            raise ConfigError(f"bad perturbation entry {part!r}; "
-                              "expected degree:amplitude") from exc
-    if not out:
-        raise ConfigError("empty perturbation spec")
-    return out
+            raise ConfigError(f"bad start entry {part!r}; expected one of "
+                              f"{list(_PRESETS)} or degree:amplitude pairs") from exc
+    return out  # an empty list is the zero perturbation, which _start_body rejects
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
@@ -161,7 +161,6 @@ _KINDS = {
     "floats": (_parse_list(float, "number"), _non_empty_list_of(_is_finite),
                "a non-empty list of finite numbers"),
     "str": (None, lambda v: isinstance(v, str), "a string"),
-    "bool": (None, lambda v: isinstance(v, bool), "true or false"),
 }
 
 
@@ -324,25 +323,18 @@ def _start_body(cfg: dict) -> StarBody:
         raise ConfigError("epsilon must be positive")
     if rep == "s2" and d != 3:
         raise ConfigError("the s2 representation requires dim 3")
-    preset = cfg["preset"]
-    perturb = None if cfg["perturb"] is None else _parse_perturb(cfg["perturb"])
-    if perturb and preset:
-        raise ConfigError("give either a preset or an explicit perturbation, not both")
+    start = cfg["start"]
     rng = make_rng(cfg["seed"])
-    weights: dict[int, float] = {}
-    spread_m = False
-    if perturb:
-        weights = perturb
+    spread_m = start == "random-even"
+    if start == "z4-mix":
+        weights = {k: 1.0 for k in (4, 6, 8, 10, 12) if k <= band_limit}
+    elif start == "h2-only":
+        weights = {2: 1.0}
+    elif spread_m:
+        weights = {k: float(rng.standard_normal()) / (1.0 + k)
+                   for k in range(2, band_limit + 1, 2)}
     else:
-        name = preset or "z4-mix"
-        if name == "z4-mix":
-            weights = {k: 1.0 for k in (4, 6, 8, 10, 12) if k <= band_limit}
-        elif name == "h2-only":
-            weights = {2: 1.0}
-        else:  # random-even
-            spread_m = True
-            for k in range(2, band_limit + 1, 2):
-                weights[k] = float(rng.standard_normal()) / (1.0 + k)
+        weights = _parse_perturb(start)
     for k, w in weights.items():
         if k % 2 or k < 2 or k > band_limit:
             raise ConfigError(
@@ -384,8 +376,7 @@ def cmd_iterate(cfg: dict) -> int:
     if alpha is None and d == 3:
         alpha = 4.0
     opts = IterationOptions(
-        kill_h2=cfg["kill_h2"],
-        raw_power_mode=cfg["raw_power"],
+        mode=cfg["mode"],
         max_steps=cfg["steps"],
         stop_tol=cfg["stop_tol"],
         method=cfg["method"],
@@ -398,8 +389,9 @@ def cmd_iterate(cfg: dict) -> int:
         diverged = str(exc)
         report = exc.report
     header = ["m", "l2", "sup", "ratio", "gamma", "q_norm", "trunc_loss", "u_alpha"]
-    rows = [[r.m, r.l2, r.sup, None if math.isnan(r.ratio) else r.ratio,
-             r.gamma, r.q_norm, r.trunc_loss, r.u_alpha] for r in report.records]
+    rows = [[m, r.l2, r.sup, None if math.isnan(r.ratio) else r.ratio,
+             r.gamma, r.q_norm, r.trunc_loss, r.u_alpha]
+            for m, r in enumerate(report.records)]
     predicted = 3.0 / (d + 1.0)
     summary = {
         "asymptotic_ratio": report.asymptotic_ratio,
@@ -526,11 +518,11 @@ COMMANDS = {
         ("epsilon", "float", 1e-3, "L2 size of the starting perturbation"),
         ("steps", "count", 10, "maximum number of steps"),
         ("stop_tol", "float", 1e-12, None),
-        ("preset", ("z4-mix", "h2-only", "random-even"), None, None),
-        ("perturb", "str", None, "explicit degree:amplitude list, e.g. 4:1,6:0.5"),
+        ("start", "str", "z4-mix", f"a preset ({', '.join(_PRESETS)}) or a "
+         "degree:amplitude list, e.g. 4:1,6:0.5"),
         ("representation", ("zonal", "s2"), "zonal", None),
-        ("kill_h2", "bool", True, "apply the degree-2 correction map each step"),
-        ("raw_power", "bool", False, "bare power recursion, no correction or rescale"),
+        ("mode", MODES, "corrected", "corrected (degree-2 map and mean rescale), "
+         "uncorrected (mean rescale only) or raw (bare power recursion)"),
         ("method", ("spectral", "geometric"), "spectral", None),
         ("alpha", "float", None, "decay exponent to track (default 4 when dim is 3)"),
     ]),
@@ -568,9 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
             flag = "--" + key.replace("_", "-")
             if isinstance(kind, tuple):
                 sub.add_argument(flag, dest=key, choices=kind, help=option_help)
-            elif kind == "bool":
-                sub.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction,
-                                 help=option_help)
             else:
                 sub.add_argument(flag, dest=key, type=_KINDS[kind][0], help=option_help)
         sub.add_argument("--config", help="JSON config file; flags win over it")
@@ -587,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
         # ConfigError, or a library check that rejects the input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PositivityError, DivergenceError) as exc:
+    except PositivityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if cfg.get("out"):  # every command that returns has written its report there

@@ -7,10 +7,10 @@ One step of the scheme maps a mean-1 star body rho = 1 + phi through
 where Q is the traceless symmetric map whose quadratic form matches the
 degree-2 component of phi (removing the neutral mode of the linearized
 transform) and gamma rescales the output to surface mean 1; the operator
-`bodies.intersection_body` is that rescaled transform.  A raw mode runs the
-bare recursion rho -> R(rho^(d-1)) with no correction and no rescale (the
-operator's output times the mean it divided by), which lets the mean drift
-inside the expected power envelope.
+`bodies.intersection_body` is that rescaled transform.  The uncorrected
+mode keeps Q = 0 (the paper's iteration up to dilation); the raw mode runs
+rho -> R(rho^(d-1)) with no correction and no rescale (the operator's
+output times the mean it divided by), so the mean drifts inside the power envelope.
 
 The module also provides the cap family scaling experiment for the sup
 and gradient norms against the L2 norm.
@@ -19,19 +19,19 @@ and gradient norms against the L2 norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import _decay_tail, l2_norm, sup_norm
-from .bodies import StarBody, apply_linear_map, intersection_body
+from .bodies import PositivityError, StarBody, apply_linear_map, intersection_body
 from .sphharm import sh_index
 from .zonal import ZonalProfile
 
 
 class DivergenceError(RuntimeError):
-    """L2 distance to the ball doubled in one step; the run left the
-    contraction regime.  Carries the partial report in .report."""
+    """A step doubled the L2 distance to the ball or lost positivity; the
+    run left the contraction regime.  Carries the partial report in .report."""
 
     def __init__(self, message: str, report: "IterationReport"):
         super().__init__(message)
@@ -77,17 +77,19 @@ def fit_degree2_correction(phi) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # one step and full runs
 
+MODES = ("corrected", "uncorrected", "raw")
+
+
 @dataclass(frozen=True)
 class IterationOptions:
     """Controls for the corrected iteration.
 
-    kill_h2 applies the degree-2 correction map before each power step;
-    raw_power_mode runs the bare recursion instead (no correction, no
-    mean rescale).  track_decay_alpha adds the decay norm u_alpha to every
-    step record (off by default).
+    mode "corrected" applies the degree-2 correction map before each power
+    step and rescales to mean 1; "uncorrected" only rescales; "raw" runs
+    the bare recursion (no correction, no mean rescale).  track_decay_alpha
+    adds the decay norm u_alpha to every step record (off by default).
     """
-    kill_h2: bool = True
-    raw_power_mode: bool = False
+    mode: str = "corrected"
     max_steps: int = 20
     stop_tol: float = 1e-12
     method: str = "spectral"
@@ -103,20 +105,21 @@ class IterationOptions:
             raise ValueError(f"track_decay_alpha {alpha!r} is not finite")
         if self.method not in ("spectral", "geometric"):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Telemetry for one state of the run (m = 0 is the starting body).
+    """Telemetry for state m of a run, `records[m]` (m = 0 is the start).
 
     l2 and sup are the norms of rho - 1; q_matrix is the degree-2
-    correction the step applied (zero at m = 0 and in raw mode); gamma is
-    the output rescale; ratio is l2 over that of the step's input (NaN at
+    correction the step applied (zero at m = 0 and unless corrected); gamma
+    is the output rescale; ratio is l2 over that of the step's input (NaN at
     m = 0); trunc_loss is the coefficient mass cut by truncation;
     min_radial and max_radial are the state's `StarBody.radial_range`;
     u_alpha is the decay norm when tracked.
     """
-    m: int
     l2: float
     sup: float
     q_matrix: np.ndarray
@@ -132,7 +135,7 @@ class StepRecord:
         return float(np.linalg.norm(self.q_matrix, 2))
 
 
-def _state_record(body: StarBody, m: int, opts: IterationOptions,
+def _state_record(body: StarBody, opts: IterationOptions,
                   q: np.ndarray, gamma: float, trunc_loss: float,
                   l2_prev: float) -> StepRecord:
     """Record of the state `body`; its ratio is its L2 deviation over
@@ -146,7 +149,6 @@ def _state_record(body: StarBody, m: int, opts: IterationOptions,
         u_alpha = max(sup, _decay_tail(dev, opts.track_decay_alpha))
     l2 = l2_norm(dev)
     return StepRecord(
-        m=m,
         l2=l2,
         sup=sup,
         q_matrix=q,
@@ -170,26 +172,25 @@ def _rescaled_to_mean_one(body: StarBody) -> StarBody:
 def iterate_step(body: StarBody, opts: IterationOptions) -> tuple[StarBody, StepRecord]:
     """One step of the scheme; returns the new body and its record.
 
-    Corrected mode rescales the input to surface mean 1, requires the
-    deviation from 1 to stay below 1/2 in sup norm, applies T = I + Q
-    when kill_h2 is set, takes the (d-1) power, transforms, and rescales
-    the output to mean 1 (the rescale factor is the recorded gamma).
-    Raw mode skips the correction and both rescales.  The record's ratio
-    is the L2 deviation of the output over that of the input.
+    The corrected and uncorrected modes rescale the input to surface mean
+    1, require the deviation from 1 to stay below 1/2 in sup norm, take
+    the (d-1) power (of T rho when corrected), transform, and rescale the
+    output to mean 1 (the rescale factor is the recorded gamma).  Raw mode
+    skips the correction and both rescales.  The record's ratio is the L2
+    deviation of the output over that of the input.
     """
     d = body.profile.dim
-    corrected = not opts.raw_power_mode
-    if corrected:
+    if opts.mode != "raw":
         body = _rescaled_to_mean_one(body)
         lo, hi = body.radial_range
         if max(abs(lo - 1.0), abs(hi - 1.0)) >= 0.5:
             raise ValueError(
                 "the radial function deviates from 1 by 1/2 or more; "
-                "the corrected step is only defined near the ball")
+                "the step is only defined near the ball")
     dev = _deviation(body.profile)
     q = np.zeros((d, d))
     work = body
-    if corrected and opts.kill_h2:
+    if opts.mode == "corrected":
         q = fit_degree2_correction(dev)
         q_norm = float(np.linalg.norm(q, 2))
         if q_norm >= 0.5:
@@ -199,12 +200,12 @@ def iterate_step(body: StarBody, opts: IterationOptions) -> tuple[StarBody, Step
     out = intersection_body(work, method=opts.method)
     mean_power = out.meta["mean_power"]
     gamma = 1.0 / mean_power
-    if not corrected:
+    if opts.mode == "raw":
         # the raw transform R(rho^(d-1)) is mean_power times the operator
         out = StarBody(out.profile.with_coeffs(mean_power * out.profile.coeffs),
                        meta={"trunc_loss": mean_power * out.meta["trunc_loss"]})
         gamma = 1.0
-    rec = _state_record(out, m=-1, opts=opts, q=q, gamma=gamma,
+    rec = _state_record(out, opts=opts, q=q, gamma=gamma,
                         trunc_loss=out.meta["trunc_loss"], l2_prev=l2_norm(dev))
     return out, rec
 
@@ -212,10 +213,6 @@ def iterate_step(body: StarBody, opts: IterationOptions) -> tuple[StarBody, Step
 @dataclass(frozen=True)
 class IterationReport:
     """Immutable record of a full run."""
-    dim: int
-    band_limit: int
-    representation: str
-    options: IterationOptions
     records: list[StepRecord]
     asymptotic_ratio: float
     monotone_after_first: bool
@@ -226,16 +223,17 @@ def run_iteration(body: StarBody, opts: IterationOptions) -> IterationReport:
     """Drive iterate_step until the L2 deviation falls below stop_tol or
     max_steps is reached.
 
-    The report holds one record per state including the start (m = 0),
-    the geometric mean of the last three step ratios, and whether the L2
+    The report holds one record per state, the start first, the
+    geometric mean of the last three step ratios, and whether the L2
     deviation was monotone after the first step.  A step that more than
     doubles the L2 deviation, or makes it NaN, raises DivergenceError with
-    the partial report attached.
+    the partial report attached; so does a step whose output is not
+    positive (stopped_reason "nonpositive").
     """
-    if not opts.raw_power_mode:
+    if opts.mode != "raw":
         body = _rescaled_to_mean_one(body)
-    d, rep = body.profile.dim, body.profile.representation
-    records = [_state_record(body, m=0, opts=opts, q=np.zeros((d, d)),
+    d = body.profile.dim
+    records = [_state_record(body, opts=opts, q=np.zeros((d, d)),
                              gamma=1.0, trunc_loss=0.0, l2_prev=math.nan)]
 
     def close(reason: str) -> IterationReport:
@@ -250,8 +248,7 @@ def run_iteration(body: StarBody, opts: IterationOptions) -> IterationReport:
         l2s = [r.l2 for r in records]
         monotone = all(l2s[i + 1] <= l2s[i] for i in range(1, len(l2s) - 1))
         return IterationReport(
-            dim=d, band_limit=body.profile.band_limit, representation=rep,
-            options=opts, records=records, asymptotic_ratio=asym,
+            records=records, asymptotic_ratio=asym,
             monotone_after_first=monotone, stopped_reason=reason)
 
     cur = body
@@ -259,8 +256,11 @@ def run_iteration(body: StarBody, opts: IterationOptions) -> IterationReport:
         if records[-1].l2 < opts.stop_tol:
             return close("converged")
         prev_l2 = records[-1].l2
-        cur, rec = iterate_step(cur, opts)
-        records.append(replace(rec, m=m))
+        try:
+            cur, rec = iterate_step(cur, opts)
+        except PositivityError as exc:
+            raise DivergenceError(f"{exc} at step {m}", close("nonpositive")) from exc
+        records.append(rec)
         if not rec.l2 <= 2.0 * prev_l2 and prev_l2 > 0.0:
             report = close("diverged")
             raise DivergenceError(

@@ -109,9 +109,9 @@ def test_criterion_05_contraction_rates():
 def test_criterion_06_degree_two_handling():
     eps = 1e-4
     body = zonal_body(3, 8, {2: eps})
-    out_raw, _ = iterate_step(body, IterationOptions(kill_h2=False))
-    c2 = float(out_raw.profile.coeffs[2])
-    out_kill, _ = iterate_step(body, IterationOptions(kill_h2=True))
+    out_plain, _ = iterate_step(body, IterationOptions(mode="uncorrected"))
+    c2 = float(out_plain.profile.coeffs[2])
+    out_kill, _ = iterate_step(body, IterationOptions(mode="corrected"))
     e2 = math.sqrt(float(out_kill.profile.energies()[2]))
     print(f"criterion 6: uncorrected c2/eps {c2 / eps:.6f} (want -1 +/- 1e-2), "
           f"corrected residual {e2:.3e} (bound 10 eps^2 = {10 * eps**2:.1e})")
@@ -177,7 +177,7 @@ def test_criterion_10_transforms_and_envelope():
 
     eps = 0.05
     body = zonal_body(3, 16, {4: eps / 3.0})
-    opts = IterationOptions(raw_power_mode=True, kill_h2=False, max_steps=4)
+    opts = IterationOptions(mode="raw", max_steps=4)
     rep = run_iteration(body, opts)
     env_ok = True
     for k, rec in enumerate(rep.records):

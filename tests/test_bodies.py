@@ -96,6 +96,13 @@ def test_properties():
     assert ball_body(3, 6, representation="s2").profile.representation == "s2"
 
 
+@pytest.mark.parametrize("d,representation", [(3, "zonl"), (4, "S2")])
+def test_ball_rejects_an_unknown_representation(d, representation):
+    # a misspelt name is neither taken for "s2" nor blamed on the dimension
+    with pytest.raises(ValueError, match=f"unknown representation '{representation}'"):
+        ball_body(d, 8, representation)
+
+
 # ---------------------------------------------------------------------------
 # linear images
 

@@ -1,16 +1,21 @@
 """Command line front end: exit codes, artifacts, determinism, precedence."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ibodylab
-from ibodylab import cli
+from ibodylab import cli, make_rng
 from ibodylab.cli import main
 
 # `python -m ibodylab` in a child process finds the package under test
@@ -37,7 +42,7 @@ def test_eigen_check_writes_report(tmp_path, capsys):
         assert (out_dir / name).exists()
     doc = json.loads((out_dir / "report.json").read_text())
     assert doc["ok"] is True
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert all(row["abs_error"] <= 1e-8 for row in doc["rows"])
     row = next(r for r in doc["rows"] if r["dim"] == 3 and r["degree"] == 2)
     assert row["spectral"] == -0.5
@@ -74,7 +79,7 @@ def test_ellipsoid_check_ball_axes(tmp_path, capsys):
 
 
 def test_iterate_z4_mix_rate(tmp_path, capsys):
-    code, _, _ = run_cli(["iterate", "--preset", "z4-mix", "--out", str(tmp_path / "i")], capsys)
+    code, _, _ = run_cli(["iterate", "--start", "z4-mix", "--out", str(tmp_path / "i")], capsys)
     assert code == 0
     doc = json.loads((tmp_path / "i" / "report.json").read_text())
     assert doc["summary"]["predicted_dominant_ratio"] == 0.75
@@ -132,7 +137,7 @@ def test_json_stdout_envelope(capsys):
 def test_iterate_json_stdout_is_pure_json(capsys):
     # the per-run human summary goes to stderr, never into the envelope
     code, out, err = run_cli(
-        ["iterate", "--preset", "z4-mix", "--steps", "4", "--format", "json"],
+        ["iterate", "--start", "z4-mix", "--steps", "4", "--format", "json"],
         capsys)
     assert code == 0
     doc = json.loads(out)
@@ -175,7 +180,7 @@ def test_iterate_rows_carry_u_alpha(flags, tracked, tmp_path, capsys):
 # determinism
 
 def test_report_csv_identical_across_out_dirs(tmp_path, capsys):
-    args = ["iterate", "--preset", "z4-mix", "--steps", "6"]
+    args = ["iterate", "--start", "z4-mix", "--steps", "6"]
     run_cli(args + ["--out", str(tmp_path / "a")], capsys)
     run_cli(args + ["--out", str(tmp_path / "b")], capsys)
     a = (tmp_path / "a" / "report.csv").read_bytes()
@@ -184,7 +189,7 @@ def test_report_csv_identical_across_out_dirs(tmp_path, capsys):
 
 
 def test_report_json_identical_on_rerun(tmp_path, capsys):
-    args = ["iterate", "--preset", "random-even", "--seed", "5",
+    args = ["iterate", "--start", "random-even", "--seed", "5",
             "--out", str(tmp_path / "x")]
     run_cli(args, capsys)
     first = (tmp_path / "x" / "report.json").read_bytes()
@@ -195,7 +200,7 @@ def test_report_json_identical_on_rerun(tmp_path, capsys):
 def test_seed_changes_random_start(tmp_path, capsys):
     out = []
     for seed in (1, 2):
-        run_cli(["iterate", "--preset", "random-even", "--seed", str(seed),
+        run_cli(["iterate", "--start", "random-even", "--seed", str(seed),
                  "--steps", "3", "--out", str(tmp_path / f"s{seed}")], capsys)
         doc = json.loads((tmp_path / f"s{seed}" / "report.json").read_text())
         # the start deviation is normalized to epsilon, so compare step 1
@@ -219,24 +224,19 @@ def test_flags_override_config_file(tmp_path, capsys):
 
 
 def test_unknown_config_key_is_exit_2(tmp_path, capsys):
+    # the keys of removed options are unknown too: no key is read as an alias
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"dimension": 3}))
-    code, _, err = run_cli(["iterate", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert "unknown config" in err
-
-
-def test_preset_perturb_conflict_is_exit_2(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"preset": "z4-mix", "perturb": [[2, 0.1]]}))
-    code, _, err = run_cli(["iterate", "--config", str(cfg)], capsys)
-    assert code == 2
+    for values in ({"dimension": 3}, {"kill_h2": False}, {"preset": "z4-mix"}):
+        cfg.write_text(json.dumps(values))
+        code, _, err = run_cli(["iterate", "--config", str(cfg)], capsys)
+        assert code == 2, values
+        assert "unknown config" in err and repr(next(iter(values))) in err
 
 
 @pytest.mark.parametrize("command,values", [
     ("eigen-check", {"dims": "3"}),
     ("iterate", {"band_limit": 16.5}),
-    ("iterate", {"perturb": [[4, 0.001]]}),
+    ("iterate", {"start": [[4, 0.001]]}),
 ])
 def test_mistyped_config_value_is_exit_2(tmp_path, capsys, command, values):
     cfg = tmp_path / "cfg.json"
@@ -351,9 +351,19 @@ def test_start_outside_step_domain_is_exit_2(capsys):
     assert "1/2" in err
 
 
+def test_unknown_start_is_exit_2_naming_the_presets(capsys):
+    code, out, err = run_cli(["iterate", "--start", "zz-mix"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "'zz-mix'" in err
+    assert all(name in err for name in ("z4-mix", "h2-only", "random-even"))
+    assert "degree:amplitude" in err
+
+
 @pytest.mark.parametrize("amplitude", ["nan", "inf"])
 def test_non_finite_perturbation_amplitude_is_exit_2(amplitude, capsys):
-    code, _, err = run_cli(["iterate", "--perturb", f"4:{amplitude}"], capsys)
+    code, _, err = run_cli(["iterate", "--start", f"4:{amplitude}"], capsys)
     assert code == 2
     assert "amplitude" in err
     assert "epsilon" not in err
@@ -366,7 +376,7 @@ def test_extreme_perturbation_amplitudes_normalize_like_unit_ones(amplitude, tmp
     reports = []
     for amp in ("1", amplitude):
         out = tmp_path / amp
-        code, _, _ = run_cli(["iterate", "--steps", "3", "--perturb",
+        code, _, _ = run_cli(["iterate", "--steps", "3", "--start",
                               f"4:{amp},6:{amp}", "--out", str(out)], capsys)
         assert code == 0
         reports.append((out / "report.csv").read_bytes())
@@ -378,13 +388,70 @@ def test_extreme_perturbation_amplitudes_normalize_like_unit_ones(amplitude, tmp
 
 def test_divergent_run_is_exit_1_with_partial_report(tmp_path, capsys):
     code, _, _ = run_cli(
-        ["iterate", "--raw-power", "--preset", "h2-only", "--epsilon", "0.2",
+        ["iterate", "--mode", "raw", "--start", "h2-only", "--epsilon", "0.2",
          "--steps", "8", "--out", str(tmp_path / "d")], capsys)
     assert code == 1
     doc = json.loads((tmp_path / "d" / "report.json").read_text())
     assert doc["ok"] is False
     assert doc["summary"]["stopped_reason"] == "diverged"
     assert len(doc["rows"]) >= 2
+
+
+def _random_iterate_argv(seed: int) -> list[str]:
+    """An `iterate` configuration drawn uniformly over every option; odd and
+    out-of-range degrees, bands below 4 and starts that are not positive
+    are included, so every exit code occurs."""
+    rng = make_rng(seed)
+    dim = int(rng.choice((3, 4, 5, 7)))
+    rep = "s2" if dim == 3 and rng.random() < 0.5 else "zonal"
+    if rng.random() < 0.5:
+        start = str(rng.choice(("z4-mix", "h2-only", "random-even")))
+    else:
+        start = ",".join(f"{rng.integers(-2, 15)}:{rng.uniform(-2.0, 2.0)!r}"
+                         for _ in range(rng.integers(1, 4)))
+    argv = ["iterate", "--dim", str(dim), "--representation", rep,
+            "--band-limit", str(rng.integers(2, 13)),
+            "--epsilon", repr(math.exp(rng.uniform(math.log(1e-8), math.log(5.0)))),
+            "--steps", str(rng.integers(1, 5)), f"--start={start}",
+            "--mode", str(rng.choice(cli.MODES)),
+            "--method", str(rng.choice(("spectral", "geometric")))]
+    if rng.random() < 0.5:
+        argv.append(f"--alpha={rng.uniform(-4.0, 8.0)!r}")
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_random_iterate_configurations_end_in_a_documented_exit(seed):
+    # every configuration ends in exit 0, 1 or 2 with no exception (warnings
+    # are errors in this suite); a rejected one says why on one line, and a
+    # run that returns, converged or not, writes one CSV row per state
+    argv = _random_iterate_argv(seed)
+    with tempfile.TemporaryDirectory() as out_dir:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", out_dir])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error:")
+            assert err.getvalue().count("\n") == 1
+        else:
+            steps_run = json.loads((Path(out_dir) / "report.json").read_text())[
+                "summary"]["steps_run"]
+            rows = (Path(out_dir) / "report.csv").read_text().strip().split("\n")[1:]
+            assert len(rows) == steps_run + 1
+
+
+def test_nonpositive_step_is_exit_1_with_partial_report(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["iterate", "--dim", "7", "--band-limit", "11", "--epsilon", "1", "--steps", "3",
+         "--start", "h2-only", "--mode", "raw", "--out", str(tmp_path)], capsys)
+    assert code == 1
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["ok"] is False
+    assert doc["summary"]["stopped_reason"] == "nonpositive"
+    assert "not strictly positive" in doc["summary"]["diverged"]
+    assert len(doc["rows"]) == 1
 
 
 def test_coarse_ellipsoid_band_is_exit_1(tmp_path, capsys):
@@ -416,7 +483,7 @@ def test_module_invocation_eigen_check():
 
 def test_module_invocation_nan_perturbation_is_a_config_error():
     p = subprocess.run(
-        [sys.executable, "-m", "ibodylab", "iterate", "--perturb", "4:nan"],
+        [sys.executable, "-m", "ibodylab", "iterate", "--start", "4:nan"],
         capture_output=True, text=True, env=CHILD_ENV)
     assert p.returncode == 2
     assert p.stderr.startswith("error:")

@@ -1,4 +1,4 @@
-"""Golden reports: every command at its defaults, plus three `iterate`
+"""Golden reports: every command at its defaults, plus four `iterate`
 variants, reproduces its committed report.csv cell by cell.
 
 Integers and strings (empty cells included) must match exactly, floats to
@@ -32,7 +32,8 @@ CASES = {
     "cap-scaling": ["cap-scaling"],
     "iterate-s2": ["iterate", "--representation", "s2"],
     "iterate-geometric-d5": ["iterate", "--method", "geometric", "--dim", "5"],
-    "iterate-raw-power": ["iterate", "--raw-power", "--no-kill-h2"],
+    "iterate-raw-power": ["iterate", "--mode", "raw"],
+    "iterate-uncorrected": ["iterate", "--mode", "uncorrected"],
 }
 
 ERROR_TOLERANCES = {

@@ -169,7 +169,7 @@ KNOBS = {
     "smoothing_gain_experiment(tail_indices)",
     "S2Function.from_values(grid)", "S2Function.from_coeffs(grid)",
     "ZonalProfile.from_values(rule)", "ZonalProfile.from_coeffs(rule)",
-    "IterationOptions.kill_h2", "IterationOptions.raw_power_mode",
+    "IterationOptions.mode",
     "IterationOptions.max_steps", "IterationOptions.stop_tol",
     "IterationOptions.method", "IterationOptions.track_decay_alpha",
 }
@@ -195,7 +195,7 @@ def test_optional_parameters_are_exactly_the_audited_knobs():
                     found += _defaulted(fn, f"{name}.{attr}")
     found += [f"IterationOptions.{f.name}"
               for f in dataclasses.fields(ibodylab.IterationOptions)]
-    assert len(KNOBS) == 19
+    assert len(KNOBS) == 18
     assert sorted(found) == sorted(KNOBS)
 
 

@@ -33,7 +33,7 @@ from helpers import (
     s2_body,
     zonal_body,
 )
-from ibodylab.iteration import _cap_hessian_norm
+from ibodylab.iteration import MODES, _cap_hessian_norm
 
 
 # ---------------------------------------------------------------------------
@@ -125,24 +125,26 @@ def test_linearized_spectrum_values():
 def test_jacobian_at_the_ball_is_the_multiplier(d, band_limit, rep, method, raw):
     # central differences of one step in every even coefficient of degree
     # >= 2 give the diagonal (d - 1) lambda_k; the correction zeroes the
-    # degree-2 entry, raw mode keeps it at -1.  Measured at most 1.2e-7
-    # with h = 1e-4 (the O(h^2) remainder).
+    # degree-2 entry, the uncorrected and raw modes keep it at -1.  raw
+    # selects the raw mode, else the two rescaling modes.  Measured at most
+    # 1.2e-7 with h = 1e-4 (the O(h^2) remainder).
     ball = ball_body(d, band_limit, rep).profile
     deg = ball.degrees
-    mu = (d - 1.0) * radon_multiplier(d, band_limit)[deg]
-    if not raw:
-        mu[deg == 2] = 0.0
-    opts = IterationOptions(method=method, raw_power_mode=raw)
     h = 1e-4
-    for j in np.flatnonzero((deg >= 2) & (deg % 2 == 0)):
-        outs = []
-        for step in (h, -h):
-            c = ball.coeffs.copy()
-            c[j] += step
-            outs.append(iterate_step(StarBody(ball.with_coeffs(c)), opts)[0].profile.coeffs)
-        column = (outs[0] - outs[1]) / (2.0 * h)
-        column[j] -= mu[j]
-        assert np.abs(column).max() <= 1e-6, (j, deg[j])
+    for mode in ["raw"] if raw else ["corrected", "uncorrected"]:
+        mu = (d - 1.0) * radon_multiplier(d, band_limit)[deg]
+        if mode == "corrected":
+            mu[deg == 2] = 0.0
+        opts = IterationOptions(method=method, mode=mode)
+        for j in np.flatnonzero((deg >= 2) & (deg % 2 == 0)):
+            outs = []
+            for step in (h, -h):
+                c = ball.coeffs.copy()
+                c[j] += step
+                outs.append(iterate_step(StarBody(ball.with_coeffs(c)), opts)[0].profile.coeffs)
+            column = (outs[0] - outs[1]) / (2.0 * h)
+            column[j] -= mu[j]
+            assert np.abs(column).max() <= 1e-6, (mode, j, deg[j])
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +152,15 @@ def test_jacobian_at_the_ball_is_the_multiplier(d, band_limit, rep, method, raw)
 
 def test_step_fixes_ball():
     body = ball_body(3, 16)
-    out, rec = iterate_step(body, IterationOptions())
-    assert math.isnan(rec.ratio)
-    assert rec.gamma == 1.0
-    assert rec.q_norm == 0.0
-    assert rec.sup <= 1e-12
-    dev = out.profile.coeffs.copy()
-    dev[0] -= 1.0
-    assert np.max(np.abs(dev)) <= 1e-12
+    for mode in MODES:
+        out, rec = iterate_step(body, IterationOptions(mode=mode))
+        assert math.isnan(rec.ratio), mode
+        assert rec.gamma == 1.0, mode
+        assert rec.q_norm == 0.0, mode
+        assert rec.sup <= 1e-12, mode
+        dev = out.profile.coeffs.copy()
+        dev[0] -= 1.0
+        assert np.max(np.abs(dev)) <= 1e-12, mode
 
 
 def test_step_contracts_degree_four_at_known_rate():
@@ -171,7 +174,7 @@ def test_step_contracts_degree_four_at_known_rate():
 def test_step_degree_two_without_correction():
     eps = 1e-4
     body = zonal_body(3, 8, {2: eps})
-    out, _ = iterate_step(body, IterationOptions(kill_h2=False))
+    out, _ = iterate_step(body, IterationOptions(mode="uncorrected"))
     c2 = out.profile.coeffs[2]
     assert c2 / eps == pytest.approx(-1.0, abs=1e-2)
 
@@ -179,7 +182,7 @@ def test_step_degree_two_without_correction():
 def test_step_degree_two_with_correction():
     eps = 1e-4
     body = zonal_body(3, 8, {2: eps})
-    out, rec = iterate_step(body, IterationOptions(kill_h2=True))
+    out, rec = iterate_step(body, IterationOptions(mode="corrected"))
     e2 = float(out.profile.energies()[2])
     assert e2 <= (10.0 * eps**2) ** 2
     assert rec.q_norm > 0
@@ -277,7 +280,7 @@ def test_correction_residual_quadratic_in_eps():
     resid = []
     for eps in (1e-2, 1e-3, 1e-4):
         body = zonal_body(3, 8, {2: eps})
-        out, _ = iterate_step(body, IterationOptions(kill_h2=True))
+        out, _ = iterate_step(body, IterationOptions(mode="corrected"))
         resid.append(np.sqrt(float(out.profile.energies()[2])) / eps)
     assert resid[1] <= resid[0] / 5.0
     assert resid[2] <= resid[1] / 5.0
@@ -294,7 +297,7 @@ def test_raw_power_envelope():
     c = phi * scale
     c[0] = 1.0
     body = StarBody(body.profile.with_coeffs(c))
-    opts = IterationOptions(raw_power_mode=True, max_steps=4, kill_h2=False)
+    opts = IterationOptions(mode="raw", max_steps=4)
     rep = run_iteration(body, opts)
     for k, rec in enumerate(rep.records):
         lo = (1.0 - eps) ** ((3 - 1) ** k) - 1e-9
@@ -304,7 +307,7 @@ def test_raw_power_envelope():
 
 def test_raw_power_divergence_guard():
     body = zonal_body(3, 8, {2: 0.2})
-    opts = IterationOptions(raw_power_mode=True, max_steps=12, kill_h2=False)
+    opts = IterationOptions(mode="raw", max_steps=12)
     with pytest.raises(DivergenceError) as ei:
         run_iteration(body, opts)
     rep = ei.value.report
@@ -321,7 +324,7 @@ def test_raw_step_is_the_truncated_transform_of_the_power(rep, d, band_limit, se
     # divided by; that must reproduce R(rho^(d-1)) truncated to the band
     body = (s2_body(band_limit, seed, scale=0.2) if rep == "s2"
             else random_zonal_body(d, band_limit, seed, scale=0.2))
-    out, rec = iterate_step(body, IterationOptions(raw_power_mode=True))
+    out, rec = iterate_step(body, IterationOptions(mode="raw"))
     full = radon_spectral(body.profile.power(d - 1))
     kept = full.degrees <= band_limit
     want = full.coeffs[kept]
@@ -329,6 +332,16 @@ def test_raw_step_is_the_truncated_transform_of_the_power(rep, d, band_limit, se
     assert rec.gamma == 1.0
     tail = float(np.sqrt((full.coeffs[~kept] ** 2).sum()))
     assert abs(rec.trunc_loss - tail) <= 1e-14 * tail
+
+
+def test_nonpositive_step_stops_with_the_partial_report():
+    # the bare recursion from 1 + Z_2 in d = 7 (radial range 0.13 to 6.2)
+    # has a transform that dips below 0 within band 11
+    with pytest.raises(DivergenceError, match="at step 1") as ei:
+        run_iteration(zonal_body(7, 11, {2: 1.0}), IterationOptions(mode="raw", max_steps=3))
+    rep = ei.value.report
+    assert rep.stopped_reason == "nonpositive"
+    assert len(rep.records) == 1
 
 
 def test_divergence_guard_sees_nan(monkeypatch):
@@ -397,6 +410,8 @@ def test_options_validation():
         IterationOptions(stop_tol=0.0)
     with pytest.raises(ValueError):
         IterationOptions(method="nope")
+    with pytest.raises(ValueError, match="unknown mode"):
+        IterationOptions(mode="Raw")
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
