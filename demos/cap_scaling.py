@@ -1,9 +1,13 @@
-"""Small-cap perturbations under one application of the operator.
+"""Sup and gradient norms of small cap bumps against their L2 norm.
 
-A bump supported on a spherical cap of width w, normalized to unit sup norm,
-comes out of the operator with sup norm scaling like w^(4/(d+3)) and gradient
-norm scaling like w^(2/(d+3)) as w shrinks.  The exponents are read off a
-log-log fit across a geometric ladder of widths.
+A smooth bump supported on the polar cap theta <= w is scaled so that the
+largest second derivative of its homogeneous extension (the largest
+|eigenvalue| of its ambient Hessian) is 1.  As w shrinks, its sup norm then
+scales like its L2 norm to the power 4/(d+3), and the sup norm of its
+gradient like the L2 norm to the power 2/(d+3).  `cap_scaling_exponents`
+fits both exponents by log-log lines against the L2 norm across a
+geometric ladder of widths.  The operator is never applied: this is a
+statement about the norms alone.
 """
 
 from ibodylab import cap_scaling_exponents

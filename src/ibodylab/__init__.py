@@ -33,7 +33,6 @@ from .bodies import (
 )
 from .iteration import (
     CapScalingResult,
-    DivergenceError,
     IterationOptions,
     IterationReport,
     StepRecord,

@@ -8,8 +8,9 @@ config file, and command line flags, in that order (flags win).  With
 --out DIR each command persists report.json (versioned), report.csv,
 and config.resolved.json, which are byte-identical across re-runs of
 the same resolved config; wall-clock metadata goes to the run_meta.json
-sidecar only.  Exit codes: 0 all checks within tolerance, 1 a tolerance
-or convergence failure, 2 invalid configuration.
+sidecar only.  Exit codes: 0 all checks within tolerance; 1 a check
+failed or a run stopped early, with the report written; 2 the
+configuration or the start was rejected, and nothing is written.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .bodies import (
 )
 from .iteration import (
     MODES,
-    DivergenceError,
     IterationOptions,
     cap_scaling_exponents,
     run_iteration,
@@ -299,9 +299,13 @@ def cmd_ellipsoid_check(cfg: dict) -> int:
     if band_limit < 8:
         raise ConfigError("band_limit must be >= 8")
     a = np.diag(axes)
-    body = ellipsoid_body(a, band_limit=band_limit)
-    numeric = intersection_body(body, method=cfg["method"])
-    exact = ellipsoid_intersection_closed_form(a, band_limit=band_limit)
+    try:
+        body = ellipsoid_body(a, band_limit=band_limit)
+        numeric = intersection_body(body, method=cfg["method"])
+        exact = ellipsoid_intersection_closed_form(a, band_limit=band_limit)
+    except PositivityError as exc:
+        raise ConfigError(
+            f"band_limit {band_limit} is too small for the semiaxes {axes}: {exc}") from exc
     got, want = numeric.profile.values, exact.profile.values
     rel = float(np.max(np.abs(got - want) / np.abs(want)))
     header = ["axis_x", "axis_y", "axis_z", "rel_sup_error"]
@@ -382,12 +386,7 @@ def cmd_iterate(cfg: dict) -> int:
         method=cfg["method"],
         track_decay_alpha=alpha,
     )
-    diverged = None
-    try:
-        report = run_iteration(body, opts)
-    except DivergenceError as exc:
-        diverged = str(exc)
-        report = exc.report
+    report = run_iteration(body, opts)
     header = ["m", "l2", "sup", "ratio", "gamma", "q_norm", "trunc_loss", "u_alpha"]
     rows = [[m, r.l2, r.sup, None if math.isnan(r.ratio) else r.ratio,
              r.gamma, r.q_norm, r.trunc_loss, r.u_alpha]
@@ -400,9 +399,10 @@ def cmd_iterate(cfg: dict) -> int:
         "stopped_reason": report.stopped_reason,
         "steps_run": len(report.records) - 1,
         "final_l2": report.records[-1].l2,
-        "diverged": diverged,
+        "diverged": report.detail,
     }
-    code = _emit("iterate", cfg, header, rows, summary, diverged is None)
+    code = _emit("iterate", cfg, header, rows, summary,
+                 report.stopped_reason in ("converged", "max_steps"))
     print(f"asymptotic ratio {report.asymptotic_ratio:.6f} "
           f"vs predicted dominant {predicted:.6f}", file=sys.stderr)
     return code
@@ -572,13 +572,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         code = COMMANDS[args.command][0](cfg)
-    except ValueError as exc:
-        # ConfigError, or a library check that rejects the input
+    except (ValueError, PositivityError) as exc:
+        # ConfigError, or a library check that rejects the input or the start;
+        # exit 1 comes from _emit alone, so it always writes the report
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PositivityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     if cfg.get("out"):  # every command that returns has written its report there
         (Path(cfg["out"]) / "run_meta.json").write_text(json.dumps({
             "created_unix": time.time(),

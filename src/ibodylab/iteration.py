@@ -29,13 +29,13 @@ from .sphharm import sh_index
 from .zonal import ZonalProfile
 
 
-class DivergenceError(RuntimeError):
-    """A step doubled the L2 distance to the ball or lost positivity; the
-    run left the contraction regime.  Carries the partial report in .report."""
+class _OutsideDomain(ValueError):
+    """A step's input lies where the step is not defined; .reason is the
+    stopped_reason of a run that reaches it after its start."""
 
-    def __init__(self, message: str, report: "IterationReport"):
+    def __init__(self, reason: str, message: str):
         super().__init__(message)
-        self.report = report
+        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +177,18 @@ def iterate_step(body: StarBody, opts: IterationOptions) -> tuple[StarBody, Step
     the (d-1) power (of T rho when corrected), transform, and rescale the
     output to mean 1 (the rescale factor is the recorded gamma).  Raw mode
     skips the correction and both rescales.  The record's ratio is the L2
-    deviation of the output over that of the input.
+    deviation of the output over that of the input.  Two guards check the
+    input and raise ValueError: a deviation from 1 of 1/2 or more, and a
+    correction of norm 1/2 or more.  A nonpositive output raises
+    PositivityError.
     """
     d = body.profile.dim
     if opts.mode != "raw":
         body = _rescaled_to_mean_one(body)
         lo, hi = body.radial_range
         if max(abs(lo - 1.0), abs(hi - 1.0)) >= 0.5:
-            raise ValueError(
-                "the radial function deviates from 1 by 1/2 or more; "
+            raise _OutsideDomain(
+                "left_domain", "the radial function deviates from 1 by 1/2 or more; "
                 "the step is only defined near the ball")
     dev = _deviation(body.profile)
     q = np.zeros((d, d))
@@ -194,7 +197,8 @@ def iterate_step(body: StarBody, opts: IterationOptions) -> tuple[StarBody, Step
         q = fit_degree2_correction(dev)
         q_norm = float(np.linalg.norm(q, 2))
         if q_norm >= 0.5:
-            raise ValueError(f"correction norm {q_norm:.3f} is not below 1/2")
+            raise _OutsideDomain("correction_too_large",
+                                 f"correction norm {q_norm:.3f} is not below 1/2")
         if q_norm > 0.0:
             work = apply_linear_map(body, np.eye(d) + q)
     out = intersection_body(work, method=opts.method)
@@ -212,64 +216,66 @@ def iterate_step(body: StarBody, opts: IterationOptions) -> tuple[StarBody, Step
 
 @dataclass(frozen=True)
 class IterationReport:
-    """Immutable record of a full run."""
+    """Immutable record of a full run; detail is the message of an early
+    stop, None when the run converged or reached max_steps."""
     records: list[StepRecord]
     asymptotic_ratio: float
     monotone_after_first: bool
     stopped_reason: str
+    detail: str | None
 
 
 def run_iteration(body: StarBody, opts: IterationOptions) -> IterationReport:
-    """Drive iterate_step until the L2 deviation falls below stop_tol or
-    max_steps is reached.
+    """Drive iterate_step until the L2 deviation falls below stop_tol, or
+    max_steps is reached, or a step stops the run early.
 
     The report holds one record per state, the start first, the
     geometric mean of the last three step ratios, and whether the L2
-    deviation was monotone after the first step.  A step that more than
-    doubles the L2 deviation, or makes it NaN, raises DivergenceError with
-    the partial report attached; so does a step whose output is not
-    positive (stopped_reason "nonpositive").
+    deviation was monotone after the first step.  An early stop has its
+    message in detail and its stopped_reason: "diverged" (a step more than
+    doubled the L2 deviation or made it NaN), "nonpositive" (a step's output
+    is not positive), "left_domain" or "correction_too_large" (a later state
+    failed a guard of iterate_step).  Only a start that fails a guard raises.
     """
     if opts.mode != "raw":
         body = _rescaled_to_mean_one(body)
     d = body.profile.dim
     records = [_state_record(body, opts=opts, q=np.zeros((d, d)),
                              gamma=1.0, trunc_loss=0.0, l2_prev=math.nan)]
-
-    def close(reason: str) -> IterationReport:
-        ratios = [r.ratio for r in records[1:] if not math.isnan(r.ratio)]
-        tail = ratios[-3:]
-        if not tail:
-            asym = math.nan
-        elif min(tail) == 0.0:
-            asym = 0.0
-        else:
-            asym = math.exp(sum(math.log(x) for x in tail) / len(tail))
-        l2s = [r.l2 for r in records]
-        monotone = all(l2s[i + 1] <= l2s[i] for i in range(1, len(l2s) - 1))
-        return IterationReport(
-            records=records, asymptotic_ratio=asym,
-            monotone_after_first=monotone, stopped_reason=reason)
-
-    cur = body
+    reason, detail = "max_steps", None
     for m in range(1, opts.max_steps + 1):
-        if records[-1].l2 < opts.stop_tol:
-            return close("converged")
         prev_l2 = records[-1].l2
+        if prev_l2 < opts.stop_tol:
+            break
         try:
-            cur, rec = iterate_step(cur, opts)
-        except PositivityError as exc:
-            raise DivergenceError(f"{exc} at step {m}", close("nonpositive")) from exc
+            body, rec = iterate_step(body, opts)
+        except (_OutsideDomain, PositivityError) as exc:
+            guard = isinstance(exc, _OutsideDomain)
+            if guard and m == 1:
+                raise  # the guards check a step's input, here the start
+            reason, detail = exc.reason if guard else "nonpositive", f"{exc} at step {m}"
+            break
         records.append(rec)
         if not rec.l2 <= 2.0 * prev_l2 and prev_l2 > 0.0:
-            report = close("diverged")
-            raise DivergenceError(
-                f"L2 deviation grew from {prev_l2:.3e} to {rec.l2:.3e} "
-                f"at step {m}; the start is outside the contraction "
-                "regime for this band limit", report)
-    if records[-1].l2 < opts.stop_tol:
-        return close("converged")
-    return close("max_steps")
+            reason, detail = "diverged", (
+                f"L2 deviation grew from {prev_l2:.3e} to {rec.l2:.3e} at step {m}; "
+                "the start is outside the contraction regime for this band limit")
+            break
+    if detail is None and records[-1].l2 < opts.stop_tol:
+        reason = "converged"
+    ratios = [r.ratio for r in records[1:] if not math.isnan(r.ratio)]
+    tail = ratios[-3:]
+    if not tail:
+        asym = math.nan
+    elif min(tail) == 0.0:
+        asym = 0.0
+    else:
+        asym = math.exp(sum(math.log(x) for x in tail) / len(tail))
+    l2s = [r.l2 for r in records]
+    monotone = all(l2s[i + 1] <= l2s[i] for i in range(1, len(l2s) - 1))
+    return IterationReport(records=records, asymptotic_ratio=asym,
+                           monotone_after_first=monotone,
+                           stopped_reason=reason, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +317,8 @@ def cap_scaling_exponents(d: int, widths=None, resolution: int = 4096) -> CapSca
     against the L2 norm over a family of polar cap bumps.
 
     Each family member is a smooth bump of angular width w supported on
-    the cap theta <= w, scaled so the largest second-derivative entry of
-    its homogeneous extension is 1.  The expected exponents are
+    the cap theta <= w, scaled so the largest |eigenvalue| of the Hessian
+    of its homogeneous extension is 1.  The expected exponents are
     4/(d+3) for the sup norm and 2/(d+3) for the gradient.
     """
     if d < 3:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ibodylab import (
     PositivityError,
@@ -224,12 +224,22 @@ def test_operator_preserves_evenness_and_positivity():
     assert out.profile.values.min() > 0
 
 
-def test_gl_equivariance_s2():
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       upper=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+@example(seed=16, upper=[0.0, 4e-4, 3e-4, 0.0, -2e-4, 0.0])
+def test_gl_equivariance_s2(seed, upper):
     # the raw operator obeys the exact linear-image law: applying T to the
-    # input matches applying inv(T)^t to the output, up to a 1/|det T| factor
-    Q = np.array([[0.0, 4e-4, 3e-4], [4e-4, 0.0, -2e-4], [3e-4, -2e-4, 0.0]])
+    # input matches applying inv(T)^t to the output, up to a 1/|det T| factor;
+    # T = I + Q with Q symmetric in the direction `upper` (its upper triangle)
+    # and |T - I| = 1e-3.  Both bounds hold with room: the worst draw here
+    # reads 7.6e-8 on both sides, the seed-16 example 4.1e-8
+    Q = np.zeros((3, 3))
+    Q[np.triu_indices(3)] = upper
+    Q += np.triu(Q, 1).T
+    assume(np.linalg.norm(Q, 2) > 1e-3)
     T = np.eye(3) + Q / np.linalg.norm(Q, 2) * 1e-3
-    body = s2_body(16, seed=16, scale=0.05)
+    body = s2_body(16, seed=seed, scale=0.05)
     det = abs(np.linalg.det(T))
     out_l = intersection_body(apply_linear_map(body, T))
     out_r = intersection_body(body)

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import ibodylab
 from ibodylab import cli, make_rng
 from ibodylab.cli import main
+from helpers import zonal_body
 
 # `python -m ibodylab` in a child process finds the package under test
 # even when it is not installed
@@ -343,12 +344,24 @@ def test_bad_iteration_options_are_exit_2(flags, capsys):
     assert err.startswith("error:")
 
 
-def test_start_outside_step_domain_is_exit_2(capsys):
+def test_start_outside_step_domain_is_exit_2(tmp_path, capsys):
     # epsilon 0.45 puts the start's radial function beyond 1 +- 1/2
-    code, _, err = run_cli(["iterate", "--epsilon", "0.45"], capsys)
+    code, _, err = run_cli(["iterate", "--epsilon", "0.45", "--out", str(tmp_path)], capsys)
     assert code == 2
     assert err.startswith("error:")
     assert "1/2" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_ellipsoid_too_eccentric_for_its_band_is_exit_2(tmp_path, capsys):
+    # the band-8 projection of the 10:1:0.1 ellipsoid dips below 0
+    code, out, err = run_cli(["ellipsoid-check", "--axes", "10,1,0.1", "--band-limit", "8",
+                              "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "band_limit 8" in err and "[10.0, 1.0, 0.1]" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_unknown_start_is_exit_2_naming_the_presets(capsys):
@@ -397,6 +410,10 @@ def test_divergent_run_is_exit_1_with_partial_report(tmp_path, capsys):
     assert len(doc["rows"]) >= 2
 
 
+STOPPED_REASONS = ("converged", "max_steps", "diverged", "nonpositive", "left_domain",
+                   "correction_too_large")
+
+
 def _random_iterate_argv(seed: int) -> list[str]:
     """An `iterate` configuration drawn uniformly over every option; odd and
     out-of-range degrees, bands below 4 and starts that are not positive
@@ -424,8 +441,9 @@ def _random_iterate_argv(seed: int) -> list[str]:
 @given(seed=st.integers(0, 2**32 - 1))
 def test_random_iterate_configurations_end_in_a_documented_exit(seed):
     # every configuration ends in exit 0, 1 or 2 with no exception (warnings
-    # are errors in this suite); a rejected one says why on one line, and a
-    # run that returns, converged or not, writes one CSV row per state
+    # are errors in this suite); a rejected one says why on one line and
+    # writes nothing, and any run writes one CSV row per state and a
+    # documented stopped_reason, which alone decides between exits 0 and 1
     argv = _random_iterate_argv(seed)
     with tempfile.TemporaryDirectory() as out_dir:
         err = io.StringIO()
@@ -435,11 +453,33 @@ def test_random_iterate_configurations_end_in_a_documented_exit(seed):
         if code == 2:
             assert err.getvalue().startswith("error:")
             assert err.getvalue().count("\n") == 1
+            assert not (Path(out_dir) / "report.json").exists()
         else:
-            steps_run = json.loads((Path(out_dir) / "report.json").read_text())[
-                "summary"]["steps_run"]
+            summary = json.loads((Path(out_dir) / "report.json").read_text())["summary"]
             rows = (Path(out_dir) / "report.csv").read_text().strip().split("\n")[1:]
-            assert len(rows) == steps_run + 1
+            assert len(rows) == summary["steps_run"] + 1
+            assert summary["stopped_reason"] in STOPPED_REASONS
+            assert (code == 0) == (summary["stopped_reason"] in ("converged", "max_steps"))
+            assert (code == 0) == (summary["diverged"] is None)
+
+
+def test_state_outside_step_domain_is_exit_1_with_partial_report(tmp_path, capsys):
+    # the start is valid and two steps run; the second state deviates from 1
+    # by 1/2 or more, so the run stops there, as the library run does
+    code, _, _ = run_cli(
+        ["iterate", "--dim", "7", "--band-limit", "6", "--epsilon", "0.0961", "--steps", "4",
+         "--start", "h2-only", "--mode", "uncorrected", "--out", str(tmp_path)], capsys)
+    assert code == 1
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["ok"] is False
+    assert doc["summary"]["stopped_reason"] == "left_domain"
+    assert "deviates from 1 by 1/2 or more" in doc["summary"]["diverged"]
+    rows = (tmp_path / "report.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 3
+    rep = ibodylab.run_iteration(zonal_body(7, 6, {2: 0.0961}),
+                                 ibodylab.IterationOptions(mode="uncorrected", max_steps=4))
+    assert doc["summary"]["diverged"] == rep.detail
+    assert [row["l2"] for row in doc["rows"]] == [r.l2 for r in rep.records]
 
 
 def test_nonpositive_step_is_exit_1_with_partial_report(tmp_path, capsys):

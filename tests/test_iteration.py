@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ibodylab import (
-    DivergenceError,
     IterationOptions,
     S2Function,
     StarBody,
@@ -221,6 +220,7 @@ def test_step_gamma_near_one():
 def test_run_on_ball_converges_immediately():
     rep = run_iteration(ball_body(3, 8), IterationOptions(max_steps=12))
     assert rep.stopped_reason == "converged"
+    assert rep.detail is None
     assert len(rep.records) == 1
     assert rep.records[0].l2 == 0.0
 
@@ -235,6 +235,7 @@ def test_run_d3_reaches_dominant_rate():
     assert abs(rep.asymptotic_ratio - 0.75) <= 0.02
     assert rep.monotone_after_first
     assert rep.stopped_reason == "max_steps"
+    assert rep.detail is None
 
 
 def test_run_d4_reaches_dominant_rate():
@@ -308,12 +309,12 @@ def test_raw_power_envelope():
 def test_raw_power_divergence_guard():
     body = zonal_body(3, 8, {2: 0.2})
     opts = IterationOptions(mode="raw", max_steps=12)
-    with pytest.raises(DivergenceError) as ei:
-        run_iteration(body, opts)
-    rep = ei.value.report
+    rep = run_iteration(body, opts)
     assert rep.stopped_reason == "diverged"
     assert len(rep.records) >= 2
     assert rep.records[-1].l2 > rep.records[-2].l2
+    assert rep.detail.startswith("L2 deviation grew from")
+    assert f"at step {len(rep.records) - 1};" in rep.detail
 
 
 @pytest.mark.parametrize("rep,d,band_limit", [("zonal", 3, 24), ("zonal", 5, 24), ("s2", 3, 8)])
@@ -337,11 +338,11 @@ def test_raw_step_is_the_truncated_transform_of_the_power(rep, d, band_limit, se
 def test_nonpositive_step_stops_with_the_partial_report():
     # the bare recursion from 1 + Z_2 in d = 7 (radial range 0.13 to 6.2)
     # has a transform that dips below 0 within band 11
-    with pytest.raises(DivergenceError, match="at step 1") as ei:
-        run_iteration(zonal_body(7, 11, {2: 1.0}), IterationOptions(mode="raw", max_steps=3))
-    rep = ei.value.report
+    rep = run_iteration(zonal_body(7, 11, {2: 1.0}), IterationOptions(mode="raw", max_steps=3))
     assert rep.stopped_reason == "nonpositive"
     assert len(rep.records) == 1
+    assert rep.detail.startswith("radial function not strictly positive")
+    assert rep.detail.endswith("at step 1")
 
 
 def test_divergence_guard_sees_nan(monkeypatch):
@@ -354,12 +355,49 @@ def test_divergence_guard_sees_nan(monkeypatch):
         return cur, replace(rec, l2=math.nan)
 
     monkeypatch.setattr(iteration, "iterate_step", nan_step)
-    with pytest.raises(DivergenceError) as ei:
-        run_iteration(zonal_body(3, 8, {4: 0.01}), IterationOptions(max_steps=5))
-    rep = ei.value.report
+    rep = run_iteration(zonal_body(3, 8, {4: 0.01}), IterationOptions(max_steps=5))
     assert rep.stopped_reason == "diverged"
     assert len(rep.records) == 2
     assert math.isnan(rep.records[-1].l2)
+    assert rep.detail.startswith("L2 deviation grew from")
+    assert "to nan at step 1;" in rep.detail
+
+
+def test_guard_failure_after_the_start_stops_with_the_partial_report():
+    # the uncorrected run from 1 + 0.0961 Z_2 in d = 7 runs two steps; the
+    # second state deviates from 1 by 1/2 or more, so step 3 is undefined
+    rep = run_iteration(zonal_body(7, 6, {2: 0.0961}),
+                        IterationOptions(mode="uncorrected", max_steps=4))
+    assert rep.stopped_reason == "left_domain"
+    assert len(rep.records) == 3
+    assert max(1.0 - rep.records[-1].min_radial, rep.records[-1].max_radial - 1.0) >= 0.5
+    assert rep.detail == ("the radial function deviates from 1 by 1/2 or more; "
+                          "the step is only defined near the ball at step 3")
+
+
+@pytest.mark.parametrize("pert,reason,message", [
+    ({4: 0.2}, "left_domain", "deviates from 1 by 1/2 or more"),
+    ({2: 0.23, 4: -0.02}, "correction_too_large", "correction norm"),
+])
+def test_each_guard_rejects_the_start_and_stops_a_later_state(pert, reason, message,
+                                                              monkeypatch):
+    import ibodylab.iteration as iteration
+
+    # a start that fails a guard is rejected before any step runs
+    with pytest.raises(ValueError, match=message):
+        run_iteration(zonal_body(3, 8, pert), IterationOptions())
+    # a later state that fails it stops the run with the states before it
+    real_step = iteration.iterate_step
+
+    def step_to_the_edge(body, opts):
+        _, rec = real_step(body, opts)
+        return zonal_body(3, 8, pert), rec
+
+    monkeypatch.setattr(iteration, "iterate_step", step_to_the_edge)
+    rep = run_iteration(zonal_body(3, 8, {4: 0.01}), IterationOptions(max_steps=5))
+    assert rep.stopped_reason == reason
+    assert len(rep.records) == 2
+    assert message in rep.detail and rep.detail.endswith("at step 2")
 
 
 def test_tracked_norms_stay_sane():
