@@ -195,7 +195,9 @@ def _inverse_norm(norm, a: np.ndarray):
 
 def _ellipsoid_profile(a: np.ndarray, band_limit: int):
     """Band-limited projection of x -> 1/|a x| with recorded projection error:
-    an S2Function for d = 3, a ZonalProfile otherwise."""
+    an S2Function for d = 3, a ZonalProfile otherwise.  The function is even,
+    so the true projection's odd degrees vanish and are set to 0; sampled on a
+    grid not closed under x -> -x, they would alias to about 1e-6."""
     d = a.shape[0]
     if d != 3:
         try:
@@ -210,6 +212,7 @@ def _ellipsoid_profile(a: np.ndarray, band_limit: int):
         radial = _inverse_norm(lambda x: np.linalg.norm(x @ a.T, axis=-1), a)
         grid = default_s2_grid(band_limit)
         prof = S2Function.from_values(band_limit, radial(grid.points()), grid)
+    prof = prof.with_coeffs(np.where(prof.degrees % 2, 0.0, prof.coeffs))
     exact = radial(prof.refined_set())
     err = float(np.abs(prof.refined_values() - exact).max() / np.abs(exact).max())
     return prof, err

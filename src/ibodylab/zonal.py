@@ -18,10 +18,15 @@ path but the even series reads it:
   once per rule and band limit, cached as `sphharm._grid_tables` is, and
   read-only; only rules of the default storage order are cached, so the
   tables of a power step's transient work rule are not kept;
-* `power(p)` runs on the nodes h >= 0 of its symmetric work rule (f(h) and
-  f(-h) from one two-column `_series`) and streams its analysis
-  _POWER_BLOCK rows Z_k(h) at a time, never holding the (pK+1)-row table
-  (its output's samples, if ever read, are synthesized then);
+* `power(p)` runs on the nodes h >= 0 of its symmetric work rule.  Its
+  first rows Z_k(h), whole _POWER_BLOCK blocks up to the byte budget
+  _HEAD_BYTES, form a read-only head table kept in a single slot (one
+  head alive at a time: the slot is emptied before the next head is
+  built, which overwrites the old one's memory); the rows above it
+  stream a block at a time from the head's last two rows, so the
+  (pK+1)-row table is held only when it fits the budget.  f(h) and f(-h)
+  come from the head when it reaches degree K, else from one two-column
+  `_series`; the output's samples, if ever read, are synthesized then;
 * `eval_at` of a scalar height runs the recurrence in Python floats (the
   sup-norm polish), of an array builds its table in chunks of at most
   _CHUNK points and of at most a band-256 table's size;
@@ -44,6 +49,11 @@ from .quadrature import REFINE, JacobiRule, gauss_jacobi_rule, recurrence_offdia
 
 _CHUNK = 16384  # points per basis table in _series, up to band 256
 _POWER_BLOCK = 64  # basis rows per block of the streamed analysis in power
+_HEAD_BYTES = 4_000_000  # budget of the head table power keeps (_power_head)
+
+# power's one head slot: its key (d, p K), the head, and the memory heads are
+# written into, reused from head to head and grown only when a head needs more
+_head_slot = {"key": None, "head": None, "memory": np.empty(0)}
 
 
 def sphere_exponent(d: int) -> float:
@@ -65,19 +75,24 @@ def subsphere_rule(d: int, order: int) -> JacobiRule:
     return gauss_jacobi_rule(d, (d - 4) / 2.0, order)
 
 
-def _basis_rows(d: int, kmax: int, t):
+def _basis_rows(d: int, kmax: int, t, head=()):
     """Yield Z_0(t), ..., Z_kmax(t) by the three-term recurrence.
 
     `t` is a 1d array (rows are arrays) or a Python float (rows are Python
-    floats); both run the same arithmetic.
+    floats); both run the same arithmetic.  Given `head`, rows Z_0(t), ...,
+    Z_j(t) already computed (j >= 1), the recurrence resumes from its last
+    two and yields only Z_(j+1)(t), ..., Z_kmax(t).
     """
     sb = recurrence_offdiag(sphere_exponent(d), kmax + 1).tolist()
-    cur = 1.0 if isinstance(t, float) else np.ones_like(t)
-    yield cur
-    if kmax >= 1:
-        prev, cur = cur, t / sb[0]
+    if len(head):
+        j, prev, cur = len(head) - 1, head[-2], head[-1]
+    else:
+        j, cur = 1, 1.0 if isinstance(t, float) else np.ones_like(t)
         yield cur
-    for k in range(1, kmax):
+        if kmax >= 1:
+            prev, cur = cur, t / sb[0]
+            yield cur
+    for k in range(j, kmax):
         # (t Z_k - b_k Z_(k-1)) / b_(k+1), with one temporary fewer
         nxt = t * cur
         nxt -= sb[k - 1] * prev
@@ -156,6 +171,34 @@ def _table(build, rule: JacobiRule, kmax: int):
     if rule.order == 2 * kmax + 8:
         return build(rule, kmax)
     return build.__wrapped__(rule, kmax)
+
+
+def _power_head(d: int, k: int, h: np.ndarray) -> np.ndarray:
+    """Z_0..Z_(R-1) at the nodes h >= 0 of the band-k work rule of `power`,
+    read-only.  R is the largest multiple of _POWER_BLOCK that is at most
+    k + 1 and whose rows fit in _HEAD_BYTES (0 rows if none do), so the head
+    ends on a block boundary of the streamed analysis.
+
+    The last head built lives in a single slot keyed by (d, k).  The slot is
+    emptied before a new head is built, and the new head overwrites the old
+    one's memory, so at most one head is alive and switching heads frees and
+    allocates no large block (which raised a run's peak RSS as the heap
+    fragmented)."""
+    slot = _head_slot
+    if slot["key"] != (d, k):
+        rows = min(_HEAD_BYTES // h.nbytes, k + 1) // _POWER_BLOCK * _POWER_BLOCK
+        if rows == 0:
+            return np.empty((0, h.size))
+        slot.update(key=None, head=None)  # before its memory is overwritten
+        if slot["memory"].size < rows * h.size:
+            slot["memory"] = np.empty(0)  # drop the smaller memory first
+            slot["memory"] = np.empty(rows * h.size)
+        head = slot["memory"][:rows * h.size].reshape(rows, h.size)
+        for i, row in enumerate(_basis_rows(d, rows - 1, h)):
+            head[i] = row
+        head.setflags(write=False)
+        slot.update(key=(d, k), head=head)
+    return slot["head"]
 
 
 def _series(d: int, coeffs: np.ndarray, t) -> np.ndarray:
@@ -245,19 +288,30 @@ class ZonalProfile:
         The work rule is symmetric and Z_k(-t) = (-1)^k Z_k(t), so only its
         nodes h >= 0 are used: degree k reads sum_h w Z_k(h) (f(h)^p +-
         f(-h)^p), + for even k, with a centre node 0 at half weight.  The rows
-        Z_k(h) stream _POWER_BLOCK at a time, never the (pK+1)-row table.
+        Z_k(h) up to a byte budget come from the cached head table of
+        `_power_head`; those above it stream _POWER_BLOCK at a time, resuming
+        the recurrence from the head's last two rows.  When the head reaches
+        degree K, f(h) and f(-h) are read from it too.
         """
         d, k = self.dim, p * self.band_limit
         work = gauss_jacobi_rule(d, sphere_exponent(d), k + 8)
         h, w = work.nodes[work.order // 2:], work.weights[work.order // 2:].copy()
         w[:work.order % 2] /= 2.0
+        head = _power_head(d, k, h)
         mirrored = np.stack((self.coeffs, (-1.0) ** self.degrees * self.coeffs), axis=1)
-        plus, minus = _series(d, mirrored, h).T ** p  # f(h)^p and f(-h)^p
+        if len(head) > self.band_limit:
+            fh = head[:self.band_limit + 1].T @ mirrored
+        else:
+            fh = _series(d, mirrored, h)
+        plus, minus = fh.T ** p  # f(h)^p and f(-h)^p
         wsum, wdiff = w * (plus + minus), w * (plus - minus)
         coeffs = np.empty(k + 1)
-        rows = _basis_rows(d, k, h)
+        rows = _basis_rows(d, k, h, head)
         for lo in range(0, k + 1, _POWER_BLOCK):  # lo is even
-            blk = np.array(list(islice(rows, _POWER_BLOCK)))
+            if lo < len(head):
+                blk = head[lo:lo + _POWER_BLOCK]
+            else:
+                blk = np.array(list(islice(rows, _POWER_BLOCK)))
             coeffs[lo:lo + _POWER_BLOCK:2] = blk[0::2] @ wsum
             coeffs[lo + 1:lo + _POWER_BLOCK:2] = blk[1::2] @ wdiff
         return ZonalProfile(d, k, work, coeffs)

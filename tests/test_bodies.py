@@ -343,6 +343,19 @@ def test_axis_aligned_ellipsoid_zonal():
     assert np.max(np.abs(body.profile.eval_at(t) - want)) <= 1e-9
 
 
+@pytest.mark.parametrize("band_limit", [8, 20, 32])
+def test_projected_ellipsoid_has_no_odd_energy(band_limit):
+    # the radial function is even, so its projection's odd part is 0, also
+    # on S^2 grids of an odd number of longitudes (49, 97, 145 here)
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    for a in (np.diag([4.0, 1.0, 0.25]), Q @ np.diag([0.85, 1.1, 1.2]) @ Q.T,
+              np.diag([1.1, 1.1, 1.1, 0.9])):
+        for build in (ellipsoid_body, ellipsoid_intersection_closed_form):
+            prof = build(a, band_limit).profile
+            assert not prof.coeffs[prof.degrees % 2 == 1].any()
+
+
 def test_spd_ellipsoid_band32_truncation():
     rng = np.random.default_rng(7)
     B = rng.standard_normal((3, 3))

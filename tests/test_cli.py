@@ -364,6 +364,19 @@ def test_ellipsoid_too_eccentric_for_its_band_is_exit_2(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_even_ellipsoid_on_a_grid_not_closed_under_negation_is_exit_1(tmp_path, capsys):
+    # the band-8 grid (49 longitudes) is not closed under x -> -x, yet the
+    # projected ellipsoid keeps no aliased odd energy: the body is accepted,
+    # and the check fails because band 8 is too small for these semiaxes
+    code, _, _ = run_cli(["ellipsoid-check", "--axes", "4,1,0.25", "--band-limit", "8",
+                          "--out", str(tmp_path)], capsys)
+    assert code == 1
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["ok"] is False
+    assert 0.4 < doc["summary"]["rel_sup_error"] < 0.5
+    assert (tmp_path / "report.csv").is_file()
+
+
 def test_unknown_start_is_exit_2_naming_the_presets(capsys):
     code, out, err = run_cli(["iterate", "--start", "zz-mix"], capsys)
     assert code == 2

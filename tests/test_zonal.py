@@ -1,6 +1,7 @@
 """Orthonormal zonal basis and the profile transform built on it."""
 
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ibodylab import (
     sphere_exponent,
     zonal_basis_matrix,
 )
+from ibodylab import zonal
 from ibodylab.zonal import _even_series, _refined_table, _series, _storage_table
 from helpers import random_even_zonal, random_zonal
 
@@ -158,6 +160,88 @@ def test_streamed_power_memory():
     finally:
         tracemalloc.stop()
     assert peak < 6e6
+
+
+@pytest.fixture
+def head_budget(monkeypatch):
+    """Set the byte budget of power's head table, with an empty head slot."""
+    def set_budget(nbytes):
+        monkeypatch.setattr(zonal, "_HEAD_BYTES", nbytes)
+        monkeypatch.setattr(zonal, "_head_slot",
+                            {"key": None, "head": None, "memory": np.empty(0)})
+    return set_budget
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+def test_power_is_bitwise_equal_with_and_without_head(d, head_budget):
+    # budget 0 is the streamed path alone; one block of the work rule's
+    # nonnegative nodes makes the stream resume from the head's last two rows;
+    # a large budget caches every full block.  The head ends on a block
+    # boundary, so every analysis row product is the same BLAS call.  K = 15
+    # gives the odd work-rule orders 53 and 83 of d = 4 and 6; K = 40 and 100
+    # put degree K inside and outside a one-block head
+    p = d - 1
+    profiles = (random_even_zonal(d, 40, seed=d), random_even_zonal(d, 100, seed=d),
+                random_zonal(d, 15, seed=30 + d), random_zonal(d, 0, seed=d),
+                random_zonal(d, 1, seed=d))
+    for f in profiles:
+        n_h = (p * f.band_limit + 9) // 2  # nodes h >= 0 of the work rule
+        got = []
+        for budget in (0, zonal._POWER_BLOCK * 8 * n_h, 10**12):
+            head_budget(budget)
+            got.append(f.power(p).coeffs)
+        assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+
+
+def test_power_head_is_read_only(head_budget):
+    head_budget(zonal._HEAD_BYTES)
+    random_even_zonal(5, 40, seed=1).power(4)
+    head = zonal._head_slot["head"]
+    assert len(head) == 128  # the two full blocks of the 161 rows
+    with pytest.raises(ValueError):
+        head[0, 0] = 0.0
+
+
+def test_power_keeps_one_head_in_reused_memory(head_budget):
+    # the slot holds the last head only, and every head is written into one
+    # memory, grown only when a head needs more: from d = 4 to 5 it grows
+    # (the smaller memory is dropped first), then d = 3 and d = 7 (a head
+    # near the budget, as d = 5's) reuse it
+    head_budget(zonal._HEAD_BYTES)
+    fs = [random_even_zonal(d, 256, seed=d) for d in (4, 5, 3, 7)]
+    for f in fs:  # build the rules first
+        gauss_jacobi_rule(f.dim, sphere_exponent(f.dim), (f.dim - 1) * 256 + 8)
+    tracemalloc.start()
+    try:
+        for f in fs:
+            f.power(f.dim - 1)
+            assert zonal._head_slot["key"] == (f.dim, (f.dim - 1) * 256)
+            if f.dim == 5:
+                grown = zonal._head_slot["memory"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert zonal._head_slot["memory"] is grown
+    assert peak < zonal._HEAD_BYTES + 2e6
+
+
+def test_failed_head_build_leaves_no_stale_head(head_budget, monkeypatch):
+    # a new head overwrites the old one's memory, so the slot forgets the old
+    # head before the first row is written
+    head_budget(zonal._HEAD_BYTES)
+    f5, f3 = random_even_zonal(5, 40, seed=1), random_even_zonal(3, 40, seed=2)
+    want = f5.power(4).coeffs
+    rows = zonal._basis_rows
+
+    def broken(d, kmax, t, head=()):
+        yield from islice(rows(d, kmax, t, head), 10)
+        raise MemoryError
+
+    monkeypatch.setattr(zonal, "_basis_rows", broken)
+    with pytest.raises(MemoryError):
+        f3.power(2)
+    monkeypatch.setattr(zonal, "_basis_rows", rows)
+    assert np.array_equal(f5.power(4).coeffs, want)
 
 
 def test_eval_at_memory_is_bounded_at_high_band():
