@@ -92,19 +92,18 @@ def _polish_max(ts: np.ndarray, vals: np.ndarray, evaluator) -> float:
 
 def sup_norm(f) -> float:
     """Sup of |f| on the refined evaluation set plus a quadratic polish."""
-    vals = f.refined_values()
     if isinstance(f, ZonalProfile):
+        vals = f.refined_values()
         ts = f.refined_set()
         up = _polish_max(ts, vals, f.eval_at)
         dn = _polish_max(ts, -vals, lambda t: -f.eval_at(t))
         return max(up, dn)
-    best = float(np.abs(vals).max())
-    # polish along the colatitude scan through the best grid node (the
+    lo, hi, i, j, column = f._refined_scan()
+    best = max(hi, -lo)
+    # polish along the colatitude column through the best grid node (the
     # poles, which close the refined set, are not grid nodes)
     fine = f.refined_grid()
-    grid_vals = vals[:fine.weights.size].reshape(fine.weights.shape)
-    i, j = np.unravel_index(np.argmax(np.abs(grid_vals)), grid_vals.shape)
-    sgn = float(np.sign(grid_vals[i, j])) or 1.0
+    sgn = float(np.sign(column[i])) or 1.0
     theta = np.arccos(fine.x)
     phi = fine.phi[j]
 
@@ -112,7 +111,7 @@ def sup_norm(f) -> float:
         p = np.array([np.sin(th) * np.cos(phi), np.sin(th) * np.sin(phi), np.cos(th)])
         return sgn * float(f.eval_at_points(p[None, :])[0])
 
-    return max(best, _polish_max(theta, sgn * grid_vals[:, j], along_theta))
+    return max(best, _polish_max(theta, sgn * column, along_theta))
 
 
 # ---------------------------------------------------------------------------

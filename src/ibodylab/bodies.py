@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .radon import radon_geometric_s2, radon_geometric_zonal, radon_spectral
-from .sphharm import S2Function, default_s2_grid
+from .sphharm import S2Function, _diagonal_image, _rotate, default_s2_grid
 from .zonal import ZonalProfile, default_rule
 
 EVENNESS_TOL = 1e-12
@@ -57,8 +57,7 @@ class StarBody:
     def radial_range(self) -> tuple[float, float]:
         """(min, max) of the radial function on the profile's refined set,
         measured at first use and kept on the body."""
-        vals = self.profile.refined_values()
-        return float(vals.min()), float(vals.max())
+        return self.profile.refined_range()
 
 
 def ball_body(d: int, band_limit: int, representation: str = "zonal") -> StarBody:
@@ -108,7 +107,11 @@ def apply_linear_map(body: StarBody, T) -> StarBody:
     a general invertible 3x3 matrix is accepted on S^2.  The result is
     re-analyzed at the same band limit (the action does not preserve
     band-limitedness exactly; the discarded tail is O(|T - I|) times the
-    top-band content for maps near the identity).
+    top-band content for maps near the identity).  On S^2, T = U S V^T
+    (singular values, signs folded into S so that U and V turn): the
+    coefficients turn by U and by V^T in O(L^3) (`sphharm._rotate`), and
+    only the diagonal map S touches the storage grid, in O(L N)
+    (`sphharm._diagonal_image`), with one analysis on it.
     """
     f = body.profile
     m = _as_matrix(T)
@@ -123,11 +126,13 @@ def apply_linear_map(body: StarBody, T) -> StarBody:
     else:
         if m.shape[0] != 3:
             raise ValueError("s2 functions require 3x3 maps")
-        pts = f.grid.points().reshape(-1, 3)
-        mapped = pts @ m.T
-        norms = np.linalg.norm(mapped, axis=1)
-        vals = f.eval_at_points(mapped / norms[:, None]) / norms
-        out = S2Function.from_values(f.band_limit, vals.reshape(f.grid.weights.shape), f.grid)
+        u, sigma, vt = np.linalg.svd(m)  # reflections go into sigma's signs
+        if np.linalg.det(u) < 0.0:
+            u[:, 2], sigma[2] = -u[:, 2], -sigma[2]
+        if np.linalg.det(vt) < 0.0:
+            vt[2], sigma[2] = -vt[2], -sigma[2]
+        image = _diagonal_image(_rotate(f.coeffs, u), sigma, f.grid)
+        out = S2Function(f.band_limit, f.grid, _rotate(image, vt))
     return StarBody(out)
 
 

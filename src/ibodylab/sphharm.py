@@ -13,10 +13,22 @@ order.  Point evaluation goes through the double Fourier sphere (Merilees
 1973; Townsend, Wilber & Wright, SIAM J. Sci. Comput. 38, 2016, C403): per
 order the Legendre sum is a degree-L trigonometric polynomial in theta, got
 by one rfft of 2L + 2 samples, so N points cost a few (N x L)(L x L) products.
+
+Linear maps act in their singular frame (`bodies.apply_linear_map`).
+`_rotate` turns coefficients in O(L^3): three turns about z around a fixed
+swap of x and z, whose per-degree blocks come from Wigner's d^l(pi/2) and are
+built once per band limit (Pinchon & Hoggan, J. Phys. A 40, 2007, 1597).
+`_diagonal_image` takes the diagonal part on the storage grid, where a
+diagonal map keeps each grid column on one meridian: the double Fourier
+coefficients give each column's series in the mapped colatitude, summed by
+Horner in O(L) per node, then one analysis.  The refined-set scans behind
+the sup norm and `refined_range` synthesize into one reused pair of buffers
+(`_refined_scan`); `refined_values` still returns a new array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import ClassVar
@@ -26,6 +38,8 @@ import numpy as np
 from .quadrature import REFINE, S2Grid, s2_grid
 
 _BUDGET = 2**17  # values per (L+1)-row table of a chunk in eval_s2_at_points
+_CHUNK = 4096  # grid nodes per chunk of _diagonal_image's complex Horner sums
+_SWAP_BIN = 8  # degrees per zero-padded stack of swap blocks (_swap_blocks)
 
 def sh_index(l: int, m: int) -> int:
     """Flat index of the real harmonic (l, m) in coefficient arrays."""
@@ -116,16 +130,23 @@ def analyze_s2(band_limit: int, values: np.ndarray, grid: S2Grid) -> np.ndarray:
     return coeffs
 
 
-def synthesize_s2(coeffs: np.ndarray, grid: S2Grid) -> np.ndarray:
-    """Grid values of the function with the given flat coefficients."""
-    coeffs = np.asarray(coeffs, dtype=float)
+def _colatitude_sums(coeffs: np.ndarray, grid: S2Grid):
+    """(gc, gs, cos_t, sin_t): the grid values are gc @ cos_t + gs @ sin_t."""
     L = _band_limit(coeffs)
     q, cos_t, sin_t = _grid_tables(L, grid)
     gc, gs = np.empty((2, grid.n_theta, L + 1))
     for m, (qm, (cos_i, sin_i, scale)) in enumerate(zip(q, _order_slots(L))):
         gc[:, m] = scale * (coeffs[cos_i] @ qm)
         gs[:, m] = scale * (coeffs[sin_i] @ qm)  # meets sin(0 phi) = 0 at m = 0
-    return gc @ cos_t + gs @ sin_t
+    return gc, gs, cos_t, sin_t
+
+
+def synthesize_s2(coeffs: np.ndarray, grid: S2Grid) -> np.ndarray:
+    """Grid values of the function with the given flat coefficients."""
+    gc, gs, cos_t, sin_t = _colatitude_sums(np.asarray(coeffs, dtype=float), grid)
+    out = gc @ cos_t
+    out += gs @ sin_t
+    return out
 
 
 def _order_sums(coeffs: np.ndarray, band_limit: int, z: np.ndarray):
@@ -189,15 +210,164 @@ def eval_s2_at_points(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out.reshape(np.asarray(points).shape[:-1])
 
 
+@lru_cache(maxsize=4)
+def _swap_blocks(band_limit: int):
+    """(slots, bins) for rotating band-L coefficients.
+
+    slots[0, l, m] is the flat slot of (l, m) and slots[1, l, m] that of
+    (l, -m), for 0 <= m <= l (m >= 1 for the sine part); every other entry
+    is (L+1)^2, one past the end.  bins holds (lo, swap) per _SWAP_BIN
+    degrees from lo on: swap[p, l - lo] is the matrix of f -> f(Jx) on the
+    cosine (p = 0) or sine (p = 1) slots of degree l, indexed by m, padded
+    with zeros to the bin's largest degree; J = [[0, 0, 1], [0, -1, 0],
+    [1, 0, 0]] swaps x and z.  The bins hold about (2/3)(L+1)^3 doubles.
+    J keeps the parity in y, so it maps cosine slots to cosine slots, and
+    J = Ry(pi/2) Rz(pi): with P = d_{m',m}, N = d_{m',-m} (m, m' >= 0) of
+    Wigner's d^l(pi/2) and s = (-1)^m, the cosine block is
+    w_m' w_m (s_m' P + s_m' s_m N), w_0 = 1/sqrt(2) and w_m = 1 otherwise,
+    and the sine block s_m' P - s_m' s_m N.  d^l(pi/2) comes from the
+    three-term recurrence in l at cos(beta) = 0, stable like the Legendre
+    recurrence (Kostelec & Rockmore, J. Fourier Anal. Appl. 14, 2008, 145),
+    seeded where max(m, m') = l by d_{l,m} = (-1)^(l-m) sqrt(C(2l, l+m)) / 2^l.
+    """
+    L = band_limit
+    ell = np.arange(L + 1)[:, None]
+    k = np.arange(L + 1)
+    slots = np.stack((np.where(k <= ell, ell * ell + ell + k, (L + 1) ** 2),
+                      np.where((k >= 1) & (k <= ell), ell * ell + ell - k, (L + 1) ** 2)))
+    bins = []
+    for lo in range(0, L + 1, _SWAP_BIN):
+        hi = min(lo + _SWAP_BIN, L + 1)
+        bins.append((lo, np.zeros((2, hi - lo, hi, hi))))
+    mm = np.multiply.outer(k, k) * np.array([1.0, -1.0])[:, None, None]  # m m' for P, N
+    w = np.ones(L + 1)
+    w[0] = np.sqrt(0.5)
+    d, d_prev = np.zeros((2, 2, L + 1, L + 1))  # [P, N] at degrees l - 1 and l - 2
+    for l in range(L + 1):
+        j, sq = l - 1, k[:l] ** 2
+        d, d_prev = d_prev, d
+        if l >= 2:
+            s1 = np.sqrt(np.multiply.outer(l * l - sq, l * l - sq))
+            s0 = np.sqrt(np.multiply.outer(j * j - sq, j * j - sq))
+            d[:, :l, :l] = -((2 * j + 1) * mm[:, :l, :l] * d_prev[:, :l, :l]
+                             + (j + 1) * s0 * d[:, :l, :l]) / (j * s1)
+        elif l == 1:
+            d[:, 0, 0] = 0.0  # d^1_00 = cos(pi/2)
+        seed = np.sqrt([math.comb(2 * l, i) / 4**l for i in range(2 * l + 1)])
+        m = k[:l + 1]
+        sign = (-1.0) ** m
+        d[0, l, :l + 1] = (-1.0) ** (l - m) * seed[l + m]  # d_{l,m}
+        d[0, :l + 1, l] = seed[l + m]                      # d_{m',l}
+        d[1, l, :l + 1] = (-1.0) ** (l + m) * seed[l - m]  # d_{l,-m}
+        d[1, :l + 1, l] = (-1.0) ** (l + m) * seed[l - m]  # d_{m',-l}
+        a = sign[:, None] * d[0, :l + 1, :l + 1]
+        b = np.multiply.outer(sign, sign) * d[1, :l + 1, :l + 1]
+        lo, swap = bins[l // _SWAP_BIN]
+        swap[0, l - lo, :l + 1, :l + 1] = np.multiply.outer(w[:l + 1], w[:l + 1]) * (a + b)
+        swap[1, l - lo, 1:l + 1, 1:l + 1] = (a - b)[1:, 1:]
+    return slots, bins
+
+
+def _swap(x: np.ndarray, bins) -> np.ndarray:
+    """Coefficients, in the layout of `_swap_blocks`, of x -> f(Jx), in
+    place: one batched product per bin of degrees."""
+    for lo, swap in bins:
+        n, size = swap.shape[1], swap.shape[-1]
+        x[:, lo:lo + n, :size] = np.matmul(swap, x[:, lo:lo + n, :size, None])[..., 0]
+    return x
+
+
+def _turn_z(x: np.ndarray, angle: float) -> np.ndarray:
+    """Coefficients, in the layout of `_swap_blocks`, of x -> f(Rz(angle) x):
+    one 2 x 2 mix of the (l, m) and (l, -m) slots per order m."""
+    m = np.arange(x.shape[-1])
+    c, s = np.cos(m * angle), np.sin(m * angle)
+    return np.stack((x[0] * c + x[1] * s, x[1] * c - x[0] * s))
+
+
+def _rotate(coeffs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Coefficients of x -> f(r x), r a rotation, in O(L^3).
+
+    With the ZXZ Euler angles r = Rz(a) Rx(b) Rz(g) and Rx(b) = J Rz(b) J
+    (J the swap of `_swap_blocks`), f(r x) is three turns about z with the
+    fixed swap between them (Pinchon & Hoggan, J. Phys. A 40, 2007, 1597).
+    a and b come from r's third column and g from the residue
+    (Rz(a) Rx(b))^T r, a turn about z to rounding even where sin b is 0.
+    """
+    L = _band_limit(coeffs)
+    slots, bins = _swap_blocks(L)
+    b = np.arctan2(np.hypot(r[0, 2], r[1, 2]), r[2, 2])
+    a = np.arctan2(r[0, 2], -r[1, 2])
+    u = (np.cos(a) * r[0, 0] + np.sin(a) * r[1, 0], np.cos(a) * r[1, 0] - np.sin(a) * r[0, 0])
+    g = np.arctan2(np.cos(b) * u[1] + np.sin(b) * r[2, 0], u[0])
+    x = _turn_z(np.append(coeffs, 0.0)[slots], a)
+    x = _turn_z(_swap(x, bins), b)
+    x = _turn_z(_swap(x, bins), g)
+    out = np.empty(coeffs.size + 1)
+    out[slots] = x
+    return out[:-1]
+
+
+def _diagonal_image(coeffs: np.ndarray, sigma, grid: S2Grid) -> np.ndarray:
+    """Coefficients, analyzed on `grid`, of x -> f(Sx/|Sx|) / |Sx| with
+    S = diag(sigma), whose entries are nonzero and of either sign.
+
+    S keeps each grid column on one meridian: the column at longitude phi
+    goes to the longitude phi' of (s1 cos phi, s2 sin phi), of length r, and
+    its node at colatitude theta to theta' with |Sx| e^{i theta'} =
+    s3 cos theta + i r sin theta.  Along that meridian f is a series in
+    cos j theta' and sin j theta' whose coefficients are those of the double
+    Fourier sphere (`_dfs_coeffs`) times cos and sin m phi'.  Horner in
+    e^{i theta'} sums it, O(L) per node where point evaluation takes O(L^2).
+    """
+    L = _band_limit(coeffs)
+    even, odd = _dfs_coeffs(coeffs, L)
+    s1, s2, s3 = sigma
+    x = grid.x[:, None]
+    vals = np.empty(grid.weights.shape)
+    cols = max(1, _CHUNK // grid.n_theta)
+    for lo in range(0, grid.n_phi, cols):
+        x_col, y_col = s1 * np.cos(grid.phi[lo:lo + cols]), s2 * np.sin(grid.phi[lo:lo + cols])
+        m_phi = np.arange(L + 1)[:, None] * np.arctan2(y_col, x_col)
+        cos_m, sin_m = np.cos(m_phi), np.sin(m_phi)
+        # per column: the cos j theta' coefficients minus i those of sin j theta'
+        series = (even[0].T @ cos_m[0::2] + even[1].T @ sin_m[0::2]
+                  - 1j * (odd[0].T @ cos_m[1::2] + odd[1].T @ sin_m[1::2]))
+        w = np.empty((grid.n_theta, x_col.size), dtype=complex)  # |Sx| e^{i theta'}
+        np.multiply(s3, x, out=w.real)
+        np.multiply(np.sqrt(1.0 - x * x), np.hypot(x_col, y_col), out=w.imag)
+        norm = np.abs(w)
+        w /= norm
+        acc = np.repeat(series[L][None, :], grid.n_theta, axis=0)
+        for j in range(L - 1, -1, -1):
+            acc *= w
+            acc += series[j]
+        vals[:, lo:lo + cols] = acc.real / norm
+    return analyze_s2(L, vals, grid)
+
+
+# the refined scan's one slot: two buffers of the refined grid's shape,
+# reused while that shape holds; their contents never leave this module
+_scan_slot = {"shape": None, "buffers": None}
+
+
+def _scan_buffers(shape: tuple[int, int]) -> np.ndarray:
+    slot = _scan_slot
+    if slot["shape"] != shape:
+        slot.update(shape=None, buffers=None)  # free the old pair first
+        slot.update(shape=shape, buffers=np.empty((2,) + shape))
+    return slot["buffers"]
+
+
 @dataclass(frozen=True, eq=False)
 class S2Function:
     """Band-limited function on S^2: flat coefficients on a storage grid;
     `values`, the grid samples, are synthesized at first read and kept.
 
     Shares its interface with `ZonalProfile` (dim, representation, values,
-    coeffs, degrees, with_coeffs, power, energies, refined_set and
-    refined_values), so callers branch on the representation only where
-    the algorithm differs.
+    coeffs, degrees, with_coeffs, power, energies, refined_set,
+    refined_values and refined_range), so callers branch on the
+    representation only where the algorithm differs.
     """
 
     dim: ClassVar[int] = 3
@@ -264,10 +434,41 @@ class S2Function:
         return np.concatenate((self.refined_grid().points().reshape(-1, 3),
                                [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
 
-    def refined_values(self) -> np.ndarray:
-        """f on `refined_set`: the grid part by synthesis, the poles in closed
-        form, f(+-e_3) = sum_l (+-1)^l sqrt(2l+1) c[l, 0]."""
-        grid_vals = synthesize_s2(self.coeffs, self.refined_grid())
+    def _poles(self) -> list[float]:
+        """f(e_3) and f(-e_3) in closed form: sum_l (+-1)^l sqrt(2l+1) c[l, 0]."""
         l = np.arange(self.band_limit + 1)
         zonal = np.sqrt(2.0 * l + 1.0) * self.coeffs[l * l + l]
-        return np.concatenate((grid_vals.ravel(), [zonal.sum(), zonal @ (-1.0) ** l]))
+        return [zonal.sum(), zonal @ (-1.0) ** l]
+
+    def refined_values(self) -> np.ndarray:
+        """f on `refined_set`, a new array: the grid part by synthesis, the
+        poles in closed form."""
+        grid_vals = synthesize_s2(self.coeffs, self.refined_grid())
+        return np.concatenate((grid_vals.ravel(), self._poles()))
+
+    def refined_range(self) -> tuple[float, float]:
+        """(min, max) of `refined_values`, bit for bit, from `_refined_scan`."""
+        return self._refined_scan()[:2]
+
+    def _refined_scan(self):
+        """(lo, hi, i, j, column): lo and hi are the min and max of
+        `refined_values`, and column is a copy of the refined grid's column j,
+        where row i holds the grid's largest |f|.
+
+        The grid part is synthesized, as `synthesize_s2` does it, into the
+        slot's buffers, and read by argmin and argmax: no array of the
+        refined grid's size is allocated once the slot holds its shape.
+        """
+        fine = self.refined_grid()
+        gc, gs, cos_t, sin_t = _colatitude_sums(self.coeffs, fine)
+        vals, spare = _scan_buffers(fine.weights.shape)
+        np.matmul(gc, cos_t, out=vals)
+        vals += np.matmul(gs, sin_t, out=spare)
+        i_hi, i_lo = int(np.argmax(vals)), int(np.argmin(vals))
+        hi, lo = float(vals.flat[i_hi]), float(vals.flat[i_lo])
+        poles = self._poles()
+        # np.argmax(np.abs(vals)): the first node of the larger |f|
+        top = i_hi if hi > -lo else i_lo if hi < -lo else min(i_hi, i_lo)
+        i, j = np.unravel_index(top, vals.shape)
+        return (float(min(lo, *poles)), float(max(hi, *poles)),
+                int(i), int(j), vals[:, j].copy())

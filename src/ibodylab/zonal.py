@@ -223,8 +223,8 @@ class ZonalProfile:
     `coeffs[k]` multiplies Z_k; `values`, the samples on the rule's nodes,
     are synthesized from them at first read and kept.
     Shares its interface with `S2Function` (dim, representation, values,
-    coeffs, degrees, with_coeffs, power, energies, refined_set and
-    refined_values); points are heights t in [-1, 1].
+    coeffs, degrees, with_coeffs, power, energies, refined_set,
+    refined_values and refined_range); points are heights t in [-1, 1].
     """
 
     representation: ClassVar[str] = "zonal"
@@ -328,6 +328,11 @@ class ZonalProfile:
     def refined_values(self) -> np.ndarray:
         """f on `refined_set`, one product with its basis table."""
         return _table(_refined_table, self.rule, self.band_limit).T @ self.coeffs
+
+    def refined_range(self) -> tuple[float, float]:
+        """(min, max) of `refined_values`."""
+        vals = self.refined_values()
+        return float(vals.min()), float(vals.max())
 
 
 def _check_rule(d: int, band_limit: int, rule: JacobiRule) -> None:

@@ -2,8 +2,9 @@
 independent oracles: the direct section-volume quadrature that checks
 `intersection_body` (its output times meta["mean_power"] is the raw
 transform R(rho^(d-1))), the unfolded geometric zonal route that checks
-the folded one, and the per-order point evaluation that checks the
-double-Fourier-sphere evaluator.
+the folded one, the per-order point evaluation that checks the
+double-Fourier-sphere evaluator, and the direct S^2 linear map that
+checks `apply_linear_map`'s singular-frame one.
 
 Everything random routes through make_rng so each test pins its own seed
 and reruns reproduce the same numbers bit for bit.
@@ -17,6 +18,8 @@ from ibodylab import (
     S2Function,
     StarBody,
     ZonalProfile,
+    analyze_s2,
+    eval_s2_at_points,
     make_rng,
     sh_degrees,
     subsphere_rule,
@@ -191,3 +194,14 @@ def order_sum_eval(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     for m, scale, a, b in _order_sums(coeffs, _band_limit(coeffs), points[:, 2]):
         out += scale * (a * np.cos(m * phi) + b * np.sin(m * phi))
     return out
+
+
+def direct_linear_image(f: S2Function, T, grid=None) -> np.ndarray:
+    """Coefficients of x -> f(Tx/|Tx|) / |Tx|: f evaluated at every mapped
+    node of `grid` (f's storage grid if None) and analyzed there, O(L^2 N).
+    The direct map that `apply_linear_map` replaced, kept as its reference."""
+    grid = f.grid if grid is None else grid
+    mapped = grid.points().reshape(-1, 3) @ np.asarray(T, dtype=float).T
+    norms = np.linalg.norm(mapped, axis=1)
+    vals = eval_s2_at_points(f.coeffs, mapped / norms[:, None]) / norms
+    return analyze_s2(f.band_limit, vals.reshape(grid.weights.shape), grid)

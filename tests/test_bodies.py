@@ -14,11 +14,15 @@ from ibodylab import (
     ellipsoid_body,
     ellipsoid_intersection_closed_form,
     intersection_body,
+    make_rng,
     radon_spectral,
+    s2_grid,
+    sh_degrees,
     zonal_basis_matrix,
 )
 from helpers import (
     ball_volume,
+    direct_linear_image,
     random_even_s2,
     random_points_on_sphere,
     random_zonal_body,
@@ -142,6 +146,67 @@ def test_map_rejects_wrong_shape_and_singular():
         apply_linear_map(body, np.eye(4))
     with pytest.raises(ValueError):
         apply_linear_map(body, np.zeros((3, 3)))
+
+
+def _symmetric(upper, size: float) -> np.ndarray:
+    """I + Q, Q symmetric with upper triangle along `upper` and |Q| = size."""
+    q = np.zeros((3, 3))
+    q[np.triu_indices(3)] = upper
+    q += np.triu(q, 1).T
+    norm = np.linalg.norm(q, 2)
+    return np.eye(3) + (q * (size / norm) if norm > 0.0 else q)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(band_limit=st.integers(2, 32), seed=st.integers(0, 2**32 - 1),
+       upper=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       size=st.floats(0.0, 0.05))
+def test_s2_linear_map_matches_direct_evaluation(band_limit, seed, upper, size):
+    # the corrected step's maps (T = I + Q symmetric, |T - I| <= 0.05): the
+    # singular-frame map agrees with evaluating at every mapped grid node;
+    # the worst of these draws reads 1.6e-15
+    T = _symmetric(upper, size)
+    body = s2_body(band_limit, seed=seed, scale=0.05)
+    got = apply_linear_map(body, T).profile.coeffs
+    assert np.max(np.abs(got - direct_linear_image(body.profile, T))) <= 1e-14
+
+
+@pytest.mark.parametrize("band_limit,bound", [(8, 1e-11), (16, 2e-13), (32, 1e-14)])
+def test_s2_strong_linear_map_against_a_finer_grid(band_limit, bound):
+    # T = diag(1, 1, -1)(I + A) with |A| = 0.3 and det T < 0.  The reference
+    # analyzes the direct map on a grid 4 times finer, so what is left is
+    # the aliasing of each storage-grid analysis: the singular-frame map
+    # aliases in U's frame, the direct one in the body's.  Worst over the
+    # seeds, singular-frame against direct: 1.3e-12 and 3.5e-13 at L = 8,
+    # 2.4e-14 and 4.6e-16 at L = 16, 1.6e-15 and 1.5e-15 at L = 32
+    for seed in range(4):
+        a = make_rng(seed).standard_normal((3, 3))
+        T = np.diag([1.0, 1.0, -1.0]) @ (np.eye(3) + a * (0.3 / np.linalg.norm(a, 2)))
+        body = s2_body(band_limit, seed=seed, scale=0.05)
+        grid = body.profile.grid
+        want = direct_linear_image(body.profile, T, s2_grid(4 * (grid.n_theta - 1)))
+        assert np.max(np.abs(apply_linear_map(body, T).profile.coeffs - want)) <= bound
+        assert np.max(np.abs(direct_linear_image(body.profile, T) - want)) <= bound
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_s2_linear_maps_compose(seed):
+    # A_T1 A_T2 = A_(T2 T1), where A_T f(x) = f(Tx/|Tx|) / |Tx|.  Rotations
+    # keep band L, so the law holds to rounding; a general map's intermediate
+    # image is truncated to band L, which a body of degree <= 4 and maps
+    # 1e-3 from I (one of them a reflection) make negligible: the worst
+    # gap reads 1.5e-15
+    rng = make_rng(40 + seed)
+    rough = s2_body(16, seed=seed, scale=0.05)
+    low = StarBody(rough.profile.with_coeffs(
+        np.where(sh_degrees(16) <= 4, rough.profile.coeffs, 0.0)))
+    r1, r2 = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+    t1 = np.eye(3) + 1e-3 * rng.standard_normal((3, 3))
+    t2 = np.diag([1.0, -1.0, 1.0]) @ (np.eye(3) + 1e-3 * rng.standard_normal((3, 3)))
+    for body, m1, m2 in ((rough, r1, r2), (low, t1, t2)):
+        lhs = apply_linear_map(apply_linear_map(body, m2), m1).profile.coeffs
+        rhs = apply_linear_map(body, m2 @ m1).profile.coeffs
+        assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from helpers import (
     s2_body,
     zonal_body,
 )
-from ibodylab.iteration import MODES, _cap_hessian_norm
+from ibodylab.iteration import MODES, _cap_hessian_norm, _deviation
 
 
 # ---------------------------------------------------------------------------
@@ -411,25 +411,27 @@ def test_tracked_norms_stay_sane():
 def test_s2_run_synthesizes_the_refined_grid_twice_per_state(steps, monkeypatch):
     # a state's radial range is measured once, for its record, and the next
     # step's guard reads it back from the body; the record's sup norm of
-    # rho - 1 is the one other refined synthesis of each state
+    # rho - 1 is the one other refined synthesis of each state.  Both scan
+    # the refined grid in `_refined_scan`'s reused buffers
     body = s2_body(8, seed=41, scale=0.01)
     calls = []
-    real = S2Function.refined_values
+    real = S2Function._refined_scan
 
     def counted(self):
         calls.append(self.band_limit)
         return real(self)
 
-    monkeypatch.setattr(S2Function, "refined_values", counted)
+    monkeypatch.setattr(S2Function, "_refined_scan", counted)
     rep = run_iteration(body, IterationOptions(max_steps=steps))
     assert len(rep.records) == steps + 1
     assert len(calls) == 2 + 2 * steps
 
 
 def test_s2_corrected_step_memory():
-    # the linear map evaluates the body at all 10 585 storage-grid points; a
-    # step peaked at 5.8 MB with chunks of 3 971 points, 7.1 MB with the
-    # per-order evaluator, and 14.1 MB with 16 384-point evaluation chunks
+    # a step peaked at 6.0 MB when the linear map evaluated the body at all
+    # 10 585 storage-grid points (14.1 MB with 16 384-point evaluation
+    # chunks); with the map in its singular frame it peaks at 2.1 MB, the
+    # tables a first step builds included
     body = s2_body(32, 1, 0.02)
     tracemalloc.start()
     try:
@@ -438,7 +440,25 @@ def test_s2_corrected_step_memory():
     finally:
         tracemalloc.stop()
     assert rec.q_norm > 0.0
-    assert peak < 8e6
+    assert peak < 4e6
+
+
+def test_s2_telemetry_scans_allocate_no_refined_grid_array():
+    # after one warm call, the record's sup norm of rho - 1 and a fresh
+    # body's radial range scan the 289 x 577 refined grid in reused buffers:
+    # together they peak at 0.16 MB, below one refined-grid array (1.33 MB),
+    # where synthesizing fresh arrays peaked at 2.8 MB
+    body = s2_body(32, 1, 0.02)
+    dev = _deviation(body.profile)
+    sup_norm(dev)
+    tracemalloc.start()
+    try:
+        sup_norm(dev)
+        StarBody(body.profile).radial_range
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dev.refined_grid().weights.nbytes
 
 
 def test_options_validation():

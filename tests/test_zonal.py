@@ -5,6 +5,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ibodylab import (
     ZonalProfile,
@@ -283,3 +284,15 @@ def test_scalar_eval_matches_array_path(d):
         got = f.eval_at(t)
         assert type(got) is float
         assert abs(got - want) <= 1e-14 * scale
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(3, 7), band_limit=st.integers(0, 64), seed=st.integers(0, 2**32 - 1))
+def test_zonal_round_trip_property(d, band_limit, seed):
+    # ZonalProfile.from_values of the rule samples returns the coefficients.
+    # The worst of these draws, over max |c|, reads 1.0e-14 at d = 4 and
+    # K = 42, 0.24 of the bound
+    c = make_rng(seed).standard_normal(band_limit + 1)
+    f = ZonalProfile.from_coeffs(d, c)
+    back = ZonalProfile.from_values(d, band_limit, f.values, f.rule).coeffs
+    assert np.max(np.abs(back - c)) <= 1e-15 * (band_limit + 1) * max(1.0, np.abs(c).max())
