@@ -9,16 +9,31 @@ Two implementations are kept deliberately separate: `radon_spectral`
 multiplies coefficients, while the geometric routes integrate over the
 subspheres by quadrature without touching the multiplier table.  Their
 agreement on random band-limited inputs is the package's primary oracle.
+
+Each geometric route is a fixed linear map from coefficients to samples
+on the storage rule or grid, followed by the usual analysis.  The map
+depends on the rule or grid and the band limit only, never on f, so it is
+tabulated once, by subsphere quadrature, and then applied by matrix
+products: `_zonal_operator` (keyed by rule and band limit) and
+`_s2_operator` (keyed by band limit and grid) are bounded lru caches of
+read-only arrays, built lazily at a route's first call.  Both are folded
+by the t -> -t (x -> -x) symmetry of their rules and grids, so they hold
+only the output rows t >= 0: the zonal output is even in t, and on S^2
+the rows x < 0 take a sign (-1)^m per order m.
+Neither build reads the multiplier table: they sum basis functions over
+subsphere nodes, so the routes stay independent of `radon_spectral`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .sphharm import S2Function, _grid_tables, _order_sums
-from .zonal import ZonalProfile, _even_series, subsphere_rule
+from .quadrature import JacobiRule, S2Grid
+from .sphharm import S2Function, _grid_tables, _legendre_orders, _order_slots
+from .zonal import ZonalProfile, _even_rows, subsphere_rule
 
 
 def radon_multiplier(d: int, kmax: int) -> np.ndarray:
@@ -38,6 +53,29 @@ def radon_spectral(f):
     return f.with_coeffs(f.coeffs * radon_multiplier(f.dim, f.band_limit)[f.degrees])
 
 
+@lru_cache(maxsize=8)
+def _zonal_operator(rule: JacobiRule, band_limit: int) -> np.ndarray:
+    """G[n, i] = sum_j w_j Z_2n(s_j r_i), read-only: the subsphere average
+    of Z_2n at the storage nodes t_i >= 0 of `rule`, r_i = sqrt(1 - t_i^2),
+    over the nodes s_j >= 0 of the order K + 8 subsphere rule.
+
+    The subsphere rule is symmetric and Z_2n even, so the nodes s_j > 0
+    carry twice their weight and a centre node 0 (odd orders) its own.  The
+    rows come from the squared recurrence in u = t^2 (`zonal._even_rows`),
+    one at a time, so no table over the (t_i, s_j) pairs is held.
+    """
+    sub = subsphere_rule(rule.dim, band_limit + 8)
+    w = 2.0 * sub.weights[sub.order // 2:]
+    w[:sub.order % 2] /= 2.0  # a centre node 0 counts once
+    radial = np.sqrt(np.clip(1.0 - rule.nodes[rule.order // 2:] ** 2, 0.0, None))
+    args = np.outer(radial, sub.nodes[sub.order // 2:])
+    op = np.empty((band_limit // 2 + 1, radial.size))
+    for n, row in enumerate(_even_rows(rule.dim, band_limit, args)):
+        op[n] = row @ w
+    op.setflags(write=False)
+    return op
+
+
 def radon_geometric_zonal(f: ZonalProfile) -> ZonalProfile:
     """Geometric route for zonal profiles.
 
@@ -47,22 +85,57 @@ def radon_geometric_zonal(f: ZonalProfile) -> ZonalProfile:
     of a great-circle coordinate.  The subsphere rule has order K + 8, exact
     for band-K integrands with margin.
 
-    Both rules are symmetric: heights t < 0 mirror those t >= 0, and sum_j
-    w_j f(s_j r) = sum_(s_j > 0) 2 w_j f_even(s_j r) + w_0 f(0) (odd orders
-    only; f_even drops the odd degrees), so a quarter of the points suffice.
-    f_even is a series in t^2: it is summed on the half-length recurrence in
-    t^2 of its K/2 + 1 even rows (`zonal._even_series`), with no basis table.
-    The route never reads the multiplier table, so it stays independent of
-    `radon_spectral`.
+    Both rules are symmetric, and only the even degrees of f survive the
+    symmetric subsphere sum, so the route is f's even coefficients times
+    the cached operator `_zonal_operator(rule, K)`, one product giving the
+    samples at the heights t >= 0; those at t < 0 mirror them.  The
+    operator holds the subsphere averages of Z_0, Z_2, ..., Z_K at the
+    storage nodes, (K/2 + 1) x ceil(order / 2) doubles, and is keyed by the
+    rule object itself and K.  It is built from the basis recurrence and
+    the subsphere rule alone and never reads the multiplier table, so the
+    route stays independent of `radon_spectral`.
     """
-    rule, sub = f.rule, subsphere_rule(f.dim, f.band_limit + 8)
-    w = 2.0 * sub.weights[sub.order // 2:]
-    w[:sub.order % 2] /= 2.0  # a centre node 0 counts once
-    radial = np.sqrt(np.clip(1.0 - rule.nodes[rule.order // 2:] ** 2, 0.0, None))
-    args = np.outer(radial, sub.nodes[sub.order // 2:])
-    out = _even_series(f.dim, f.coeffs, args) @ w
+    rule = f.rule
+    out = f.coeffs[0::2] @ _zonal_operator(rule, f.band_limit)
     out_vals = np.concatenate((out[rule.order % 2:][::-1], out))
     return ZonalProfile.from_values(f.dim, f.band_limit, out_vals, rule)
+
+
+@lru_cache(maxsize=4)
+def _s2_operator(band_limit: int, grid: S2Grid) -> tuple[np.ndarray, ...]:
+    """Per order m = 0..L, the read-only block A_m, shape (rows, L - m + 1),
+    on the grid rows x >= 0 (centre row first when n_theta is odd):
+    A_m[i, l] = scale mean_tau Q[l, m](z) cos m psi over the M = 2L + 9
+    points of the circle of the row's direction at longitude 0 (z and psi
+    as in `radon_geometric_s2`), scale the factor from Q[l, m] to Y_{l,+/-m}
+    (`_order_slots`).
+
+    Its sine partner, the mean of Q[l, m](z) sin m psi, vanishes and is not
+    stored: tau -> pi - tau keeps z and turns psi into -psi (the circle is
+    symmetric under y -> -y), and M points average a band-L function on the
+    circle exactly.  The row at -x has the same heights and psi -> pi - psi,
+    so A_m(-x) = (-1)^m A_m(x) and the rows x < 0 are not stored either.
+    Built from the Legendre recurrence at the circle points, one order at
+    a time, into views of one array.
+    """
+    L = band_limit
+    circle_points = 2 * L + 9
+    tau = 2.0 * np.pi * np.arange(circle_points) / circle_points
+    x = grid.x[grid.n_theta // 2:, None]
+    z = np.sqrt(1.0 - x * x) * np.sin(tau)                 # (rows, M)
+    psi = np.arctan2(np.cos(tau), -x * np.sin(tau))
+    # one block for all orders, allocated before the build's transients
+    flat = np.empty(x.size * (L + 1) * (L + 2) // 2)
+    ops = tuple(block.reshape(x.size, -1)
+                for block in np.split(flat, x.size * np.cumsum(np.arange(L + 1, 1, -1))))
+    orders = zip(ops, _legendre_orders(L, z.ravel()), _order_slots(L))
+    for m, (op, q, (_, _, scale)) in enumerate(orders):
+        cos_m = np.cos(m * psi) * (scale / circle_points)
+        # per row i: Q[l, m] at its circle points times cos m psi
+        rows_q = q.reshape(q.shape[0], *psi.shape).transpose(1, 0, 2)  # (rows, l, M)
+        np.matmul(rows_q, cos_m[:, :, None], out=op[:, :, None])
+        op.setflags(write=False)
+    return ops
 
 
 def radon_geometric_s2(f: S2Function) -> S2Function:
@@ -73,31 +146,32 @@ def radon_geometric_s2(f: S2Function) -> S2Function:
     M = 2L + 9 leaves margin.  The circle of the grid direction (theta_i,
     phi_j) is the circle of (theta_i, 0) turned by phi_j about the z-axis:
     its points keep their heights and their azimuths psi shift by phi_j.
-    So f is evaluated, order by order, only on the n_theta circles at
-    longitude 0 (separation of variables, Driscoll & Healy 1994): with the
-    per-order sums a_m, b_m at the circle heights, cos m(psi + phi) and
-    sin m(psi + phi) expand into the circle means C[i, m] of a_m cos m psi
-    + b_m sin m psi and S[i, m] of b_m cos m psi - a_m sin m psi, and the
-    grid values are C @ cos(m phi_j) + S @ sin(m phi_j).  The circle of
-    (sin theta, 0, cos theta), in the frame e_2 and (-cos theta, 0,
-    sin theta), is (-cos theta sin tau, cos tau, sin theta sin tau): with
-    x = cos theta its heights are sqrt(1 - x^2) sin tau and its azimuths
-    arctan2(cos tau, -x sin tau).  This only reorders the quadrature sum
-    over the circles; it never reads the multiplier table, so the route
-    stays independent of `radon_spectral`.
+    The circle of (sin theta, 0, cos theta), in the frame e_2 and
+    (-cos theta, 0, sin theta), is (-cos theta sin tau, cos tau,
+    sin theta sin tau): with x = cos theta its heights are
+    z = sqrt(1 - x^2) sin tau and its azimuths psi = arctan2(cos tau,
+    -x sin tau).  With a = c[l, m] and b = c[l, -m], cos m(psi + phi) and
+    sin m(psi + phi) expand into the circle means C[i, m] = A_m a and
+    S[i, m] = A_m b (the sine means of the Legendre blocks vanish, see
+    `_s2_operator`), and the grid values are C @ cos(m phi_j) +
+    S @ sin(m phi_j) (separation of variables, Driscoll & Healy 1994).
+
+    A_m, the circle means of the Legendre blocks times cos m psi, depends
+    on the band limit and the grid only: it is the cached operator
+    `_s2_operator(L, grid)`, kept for the rows x >= 0, about
+    (n_theta / 2)(L + 1)(L + 2) / 2 doubles.  At -x both means take the
+    sign (-1)^m.  The operator is a sum of Legendre values over circle
+    points and never reads the multiplier table, so the route stays
+    independent of `radon_spectral`.
     """
     L, grid = f.band_limit, f.grid
-    circle_points = 2 * L + 9
-    tau = 2.0 * np.pi * np.arange(circle_points) / circle_points
-    x = grid.x[:, None]
-    z = np.sqrt(1.0 - x * x) * np.sin(tau)                 # (n_theta, M)
-    psi = np.arctan2(np.cos(tau), -x * np.sin(tau))
-    c, s = np.empty((2, grid.n_theta, L + 1))
-    for m, scale, a, b in _order_sums(f.coeffs, L, z.ravel()):
-        a, b = scale * a.reshape(psi.shape), scale * b.reshape(psi.shape)
-        cos_m, sin_m = np.cos(m * psi), np.sin(m * psi)
-        c[:, m] = (a * cos_m + b * sin_m).mean(axis=1)
-        s[:, m] = (b * cos_m - a * sin_m).mean(axis=1)
+    ops = _s2_operator(L, grid)
+    half = np.empty((L + 1, ops[0].shape[0], 2))  # order x row x [C, S]
+    for m, (op, (cos_i, sin_i, _)) in enumerate(zip(ops, _order_slots(L))):
+        np.matmul(op, f.coeffs[np.stack((cos_i, sin_i), axis=1)], out=half[m])
+    sign = (-1.0) ** np.arange(L + 1)[:, None, None]
+    mirror = sign * half[:, grid.n_theta % 2:][:, ::-1]  # no mirror of a centre row
+    c, s = np.concatenate((mirror, half), axis=1).T    # each (n_theta, L + 1)
     _, cos_t, sin_t = _grid_tables(L, grid)
     return S2Function.from_values(L, c @ cos_t + s @ sin_t, grid)
 

@@ -149,15 +149,6 @@ def synthesize_s2(coeffs: np.ndarray, grid: S2Grid) -> np.ndarray:
     return out
 
 
-def _order_sums(coeffs: np.ndarray, band_limit: int, z: np.ndarray):
-    """Yield (m, scale, a_m, b_m), m = 0..L: the cosine and sine sums
-    a_m = sum_l c[l, m] Q[l, m](z) and b_m = sum_l c[l, -m] Q[l, m](z) at
-    heights z, so f = sum_m scale (a_m cos m phi + b_m sin m phi)."""
-    orders = zip(_legendre_orders(band_limit, z), _order_slots(band_limit))
-    for m, (qm, (cos_i, sin_i, scale)) in enumerate(orders):
-        yield m, scale, coeffs[cos_i] @ qm, coeffs[sin_i] @ qm
-
-
 @lru_cache(maxsize=16)
 def _dfs_legendre(L: int):
     """Per-order Legendre blocks at the colatitudes pi k / (L + 1), k = 0..L+1."""
@@ -166,9 +157,11 @@ def _dfs_legendre(L: int):
 
 def _dfs_coeffs(coeffs: np.ndarray, band_limit: int):
     """(even, odd), each (2, ., L + 1): even[0, i] holds the cos j theta
-    coefficients of scale a_{2i} (see `_order_sums`), odd[0, i] the sin j
-    theta ones of scale a_{2i+1}, and [1] those of b; one rfft of the
-    samples at pi k / (L + 1), extended by a_m(2 pi - theta) = (-1)^m a_m."""
+    coefficients of scale a_{2i}, odd[0, i] the sin j theta ones of scale
+    a_{2i+1}, and [1] those of b, where a_m = sum_l c[l, m] Q[l, m] and
+    b_m = sum_l c[l, -m] Q[l, m], so f = sum_m scale (a_m cos m phi + b_m
+    sin m phi); one rfft of the samples at pi k / (L + 1), extended by
+    a_m(2 pi - theta) = (-1)^m a_m."""
     L = band_limit
     samples = np.empty((2, L + 1, 2 * L + 2))
     for m, (qm, (cos_i, sin_i, scale)) in enumerate(zip(_dfs_legendre(L), _order_slots(L))):

@@ -10,7 +10,7 @@ coefficients computed here.
 Evaluation runs the symmetric three-term recurrence of the orthonormal
 family, which is stable to degrees in the hundreds; one private generator,
 `_basis_rows`, yields its rows Z_k(t) one degree at a time, and every value
-path but the even series reads it:
+path reads it:
 
 * the basis table on a profile's storage rule (analysis in `from_values`,
   synthesis of `values` at first read) and on its refined set (poles
@@ -29,11 +29,12 @@ path but the even series reads it:
   `_series`; the output's samples, if ever read, are synthesized then;
 * `eval_at` of a scalar height runs the recurrence in Python floats (the
   sup-norm polish), of an array builds its table in chunks of at most
-  _CHUNK points and of at most a band-256 table's size;
-* `_even_series`, the even-degree part of a series (the geometric Radon
-  route's integrand), runs the squared recurrence in u = t^2 on the even
-  rows only and adds them up one at a time, holding no table; like
-  `_basis_rows`, it reads its coefficients from `recurrence_offdiag`.
+  _CHUNK points and of at most a band-256 table's size.
+
+A second generator, `_even_rows`, yields the even rows alone, from the
+squared recurrence in u = t^2; the geometric Radon route builds its
+operator from them (`radon._zonal_operator`).  Like `_basis_rows`, it
+reads its coefficients from `recurrence_offdiag`.
 """
 
 from __future__ import annotations
@@ -101,34 +102,32 @@ def _basis_rows(d: int, kmax: int, t, head=()):
         yield cur
 
 
-def _even_series(d: int, coeffs: np.ndarray, t) -> np.ndarray:
-    """sum_j coeffs[2j] Z_2j(t), the even-degree part of a series, in
-    dimension d at heights t of any shape; the odd coefficients are not read.
+def _even_rows(d: int, kmax: int, t):
+    """Yield the even rows Z_0(t), Z_2(t), ..., up to degree kmax, in
+    dimension d at heights t of any shape.
 
     With s_k the off-diagonal of the recurrence (t Z_k = s_k Z_(k+1) +
     s_(k-1) Z_(k-1)) and s_(-1) = s_(-2) = 0, squaring it gives one in u = t^2,
     t^2 Z_k = s_k s_(k+1) Z_(k+2) + (s_k^2 + s_(k-1)^2) Z_k + s_(k-1) s_(k-2) Z_(k-2),
-    so the K/2 + 1 even rows are summed one at a time and no table is held.
+    which runs on the kmax/2 + 1 even rows alone.
     """
     u = np.square(np.asarray(t, dtype=float))
     # s[j + 2] = s_j; row Z_k comes from Z_(k-2) and Z_(k-4)
-    s = np.concatenate(([0.0, 0.0], recurrence_offdiag(sphere_exponent(d), len(coeffs))))
-    k = np.arange(2, len(coeffs), 2)
+    s = np.concatenate(([0.0, 0.0], recurrence_offdiag(sphere_exponent(d), kmax + 1)))
+    k = np.arange(2, kmax + 1, 2)
     up = (s[k] * s[k + 1]).tolist()
     diag = (s[k] ** 2 + s[k - 1] ** 2).tolist()
     down = (s[k - 1] * s[k - 2]).tolist()
-    even = coeffs[0::2].tolist()
     prev, cur = 0.0, np.ones_like(u)
-    out = even[0] * cur
-    for c, a, b, e in zip(even[1:], up, diag, down):
+    yield cur
+    for a, b, e in zip(up, diag, down):
         # Z_k = ((u - b) Z_(k-2) - e Z_(k-4)) / a
         nxt = u - b
         nxt *= cur
         nxt -= e * prev
         nxt /= a
-        out += c * nxt
+        yield nxt
         prev, cur = cur, nxt
-    return out
 
 
 def zonal_basis_matrix(d: int, kmax: int, t: np.ndarray) -> np.ndarray:

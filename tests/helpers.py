@@ -1,8 +1,9 @@
 """Shared builders for randomized test inputs, closed-form references, and
 independent oracles: the direct section-volume quadrature that checks
 `intersection_body` (its output times meta["mean_power"] is the raw
-transform R(rho^(d-1))), the unfolded geometric zonal route that checks
-the folded one, the per-order point evaluation that checks the
+transform R(rho^(d-1))), the unfolded geometric zonal route and the
+pointwise geometric S^2 route that check the cached quadrature operators
+of `radon`, the per-order point evaluation that checks the
 double-Fourier-sphere evaluator, and the direct S^2 linear map that
 checks `apply_linear_map`'s singular-frame one.
 
@@ -26,7 +27,7 @@ from ibodylab import (
     sup_norm,
 )
 from ibodylab.cli import _random_even_zonal, _random_s2
-from ibodylab.sphharm import _band_limit, _order_sums
+from ibodylab.sphharm import _band_limit, _grid_tables, _legendre_orders, _order_slots
 
 
 def random_even_zonal(d: int, band_limit: int, seed: int, decay: float = 1.0) -> ZonalProfile:
@@ -182,6 +183,36 @@ def unfolded_radon_zonal(f: ZonalProfile) -> ZonalProfile:
     args = np.outer(radial, sub.nodes)
     out_vals = f.eval_at(args.ravel()).reshape(args.shape) @ sub.weights
     return ZonalProfile.from_values(f.dim, f.band_limit, out_vals, f.rule)
+
+
+def pointwise_radon_s2(f: S2Function) -> S2Function:
+    """The geometric S^2 route summed call by call: f's per-order sums at the
+    heights of the great circles of the grid directions at longitude 0,
+    times cos and sin m psi, averaged over each circle.  The reference for
+    the cached, folded operator of `radon_geometric_s2`."""
+    L, grid = f.band_limit, f.grid
+    circle_points = 2 * L + 9
+    tau = 2.0 * np.pi * np.arange(circle_points) / circle_points
+    x = grid.x[:, None]
+    z = np.sqrt(1.0 - x * x) * np.sin(tau)
+    psi = np.arctan2(np.cos(tau), -x * np.sin(tau))
+    c, s = np.empty((2, grid.n_theta, L + 1))
+    for m, scale, a, b in _order_sums(f.coeffs, L, z.ravel()):
+        a, b = scale * a.reshape(psi.shape), scale * b.reshape(psi.shape)
+        cos_m, sin_m = np.cos(m * psi), np.sin(m * psi)
+        c[:, m] = (a * cos_m + b * sin_m).mean(axis=1)
+        s[:, m] = (b * cos_m - a * sin_m).mean(axis=1)
+    _, cos_t, sin_t = _grid_tables(L, grid)
+    return S2Function.from_values(L, c @ cos_t + s @ sin_t, grid)
+
+
+def _order_sums(coeffs: np.ndarray, band_limit: int, z: np.ndarray):
+    """Yield (m, scale, a_m, b_m), m = 0..L: the cosine and sine sums
+    a_m = sum_l c[l, m] Q[l, m](z) and b_m = sum_l c[l, -m] Q[l, m](z) at
+    heights z, so f = sum_m scale (a_m cos m phi + b_m sin m phi)."""
+    orders = zip(_legendre_orders(band_limit, z), _order_slots(band_limit))
+    for m, (qm, (cos_i, sin_i, scale)) in enumerate(orders):
+        yield m, scale, coeffs[cos_i] @ qm, coeffs[sin_i] @ qm
 
 
 def order_sum_eval(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:

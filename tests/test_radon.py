@@ -12,17 +12,22 @@ from ibodylab import (
     S2Function,
     ZonalProfile,
     default_rule,
+    default_s2_grid,
     gauss_jacobi_rule,
     l2_norm,
     radon_geometric_s2,
     radon_geometric_zonal,
     radon_multiplier,
     radon_spectral,
+    s2_grid,
     sh_index,
     smoothing_gain_experiment,
     sphere_exponent,
+    subsphere_rule,
 )
+from ibodylab.radon import _s2_operator, _zonal_operator
 from helpers import (
+    pointwise_radon_s2,
     random_even_s2,
     random_even_zonal,
     random_s2,
@@ -239,8 +244,8 @@ def test_folded_zonal_route_matches_unfolded_property(d, band_limit, on_work_rul
 
 
 def test_geometric_zonal_memory():
-    # the route sums its even series row by row at its 34 320 folded
-    # heights; one 16 384-point chunk of the K = 256 basis table is 34 MB
+    # a warm call is one product with the cached operator; one 16 384-point
+    # chunk of the K = 256 basis table is 34 MB
     f = random_even_zonal(3, 256, seed=5)
     radon_geometric_zonal(f)  # build the rules first
     tracemalloc.start()
@@ -252,6 +257,86 @@ def test_geometric_zonal_memory():
     assert peak < 8e6
 
 
+def test_geometric_zonal_cold_build_memory():
+    # the operator build runs the even rows one at a time at the 34 320
+    # folded heights, holding no table over them
+    f = random_even_zonal(3, 256, seed=5)
+    subsphere_rule(3, 256 + 8)  # build the rules first
+    _zonal_operator.cache_clear()
+    tracemalloc.start()
+    try:
+        radon_geometric_zonal(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _zonal_operator.cache_info().misses == 1
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("band_limit", [8, 24, 40])
+@pytest.mark.parametrize("grid_of", ["default", "power step", "even n_theta"])
+def test_s2_operator_matches_pointwise_route(band_limit, grid_of):
+    # the cached, folded operator against the route summed call by call.
+    # The default grid of band L and the power step's (band 2L on it) have
+    # an odd n_theta, hence a centre row x = 0 that is not mirrored; a grid
+    # of odd level has none
+    if grid_of == "power step":
+        grid, band = default_s2_grid(band_limit), 2 * band_limit
+    else:
+        grid = default_s2_grid(band_limit) if grid_of == "default" \
+            else s2_grid(2 * band_limit + 9)
+        band = band_limit
+    assert grid.n_theta % 2 == (grid_of != "even n_theta")
+    f = S2Function.from_coeffs(random_s2(band, seed=band_limit).coeffs, grid)
+    got = radon_geometric_s2(f).coeffs
+    want = pointwise_radon_s2(f).coeffs
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(f.coeffs).max()
+
+
+def test_geometric_operators_are_keyed_by_rule_and_grid():
+    # the same coefficients on two rules (two grids) of the same band limit
+    # need two operators: the storage rule and a work rule, the default
+    # grid and the one of the power step that doubles the band
+    f = random_zonal(4, 15, seed=2)
+    work = gauss_jacobi_rule(4, sphere_exponent(4), 3 * 15 + 8)
+    for g in (f, ZonalProfile.from_coeffs(4, f.coeffs, work), f):
+        got = radon_geometric_zonal(g).coeffs
+        want = unfolded_radon_zonal(g).coeffs
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(f.coeffs).max()
+    h = random_s2(10, seed=2)
+    for g in (h, S2Function.from_coeffs(h.coeffs, default_s2_grid(5)), h):
+        got = radon_geometric_s2(g).coeffs
+        want = pointwise_radon_s2(g).coeffs
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(h.coeffs).max()
+
+
+def test_geometric_operators_are_read_only():
+    zonal = random_zonal(5, 20, seed=1)
+    radon_geometric_zonal(zonal)
+    op = _zonal_operator(zonal.rule, zonal.band_limit)
+    assert not op.flags.writeable
+    with pytest.raises(ValueError):
+        op[0, 0] = 1.0
+    s2 = random_s2(6, seed=1)
+    radon_geometric_s2(s2)
+    ops = _s2_operator(s2.band_limit, s2.grid)
+    assert isinstance(ops, tuple) and len(ops) == s2.band_limit + 1
+    assert not any(block.flags.writeable for block in ops)
+    with pytest.raises(ValueError):
+        ops[1][0, 0] = 1.0
+
+
+def test_geometric_operator_caches_stay_bounded():
+    for cache, calls in ((_zonal_operator, [random_zonal(3, k, seed=k) for k in range(1, 14)]),
+                         (_s2_operator, [random_s2(k, seed=k) for k in range(1, 8)])):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and len(calls) > maxsize
+        route = radon_geometric_s2 if cache is _s2_operator else radon_geometric_zonal
+        for f in calls:
+            route(f)
+        assert cache.cache_info().currsize == maxsize
+
+
 def test_geometric_routes_never_read_the_multiplier_table(monkeypatch):
     s2 = random_s2(12, seed=7)
     zonal = random_even_zonal(5, 24, seed=7)
@@ -260,10 +345,14 @@ def test_geometric_routes_never_read_the_multiplier_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a geometric route read radon_multiplier")
 
+    # cold caches, so the operators are built under the refusal
+    _zonal_operator.cache_clear()
+    _s2_operator.cache_clear()
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "ibodylab" and hasattr(module, "radon_multiplier"):
             monkeypatch.setattr(module, "radon_multiplier", refuse)
     got = [radon_geometric_s2(s2).coeffs, radon_geometric_zonal(zonal).coeffs]
+    assert _s2_operator.cache_info().misses == _zonal_operator.cache_info().misses == 1
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) <= ORACLE_TOL
 

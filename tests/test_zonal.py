@@ -16,7 +16,7 @@ from ibodylab import (
     zonal_basis_matrix,
 )
 from ibodylab import zonal
-from ibodylab.zonal import _even_series, _refined_table, _series, _storage_table
+from ibodylab.zonal import _even_rows, _refined_table, _series, _storage_table
 from helpers import random_even_zonal, random_zonal
 
 
@@ -261,15 +261,18 @@ def test_eval_at_memory_is_bounded_at_high_band():
 
 @pytest.mark.parametrize("d", [3, 4, 5, 7, 10])
 def test_even_series_matches_masked_table_path(d):
-    # the recurrence in u = t^2 against the basis table on the even-masked
-    # coefficients; u is rounded, so the bound is relative to the largest
-    # value (measured <= 2.0e-13 over 40 seeds of these inputs, <= 4.4e-13
-    # with undamped Gaussian coefficients)
+    # the even rows of the recurrence in u = t^2, summed against the even
+    # coefficients, against the basis table on the even-masked coefficients;
+    # u is rounded, so the bound is relative to the largest value (measured
+    # <= 2.0e-13 over 40 seeds of these inputs, <= 4.4e-13 with undamped
+    # Gaussian coefficients)
     for band_limit in (0, 1, 8, 64, 256):
         coeffs = random_zonal(d, band_limit, seed=d + band_limit).coeffs
         t = np.concatenate((make_rng(d).uniform(-1.0, 1.0, 500), [-1.0, 0.0, 1.0]))
         want = _series(d, np.where(np.arange(band_limit + 1) % 2, 0.0, coeffs), t)
-        got = _even_series(d, coeffs, t)
+        rows = list(_even_rows(d, band_limit, t))
+        assert len(rows) == band_limit // 2 + 1
+        got = sum(c * row for c, row in zip(coeffs[0::2], rows))
         assert got.shape == t.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
