@@ -1,18 +1,16 @@
 """Norms and multiplier operators.
 
 Functions here accept either representation through the interface that
-ZonalProfile and S2Function share (coeffs, degrees, with_coeffs, energies,
-refined_set, refined_values); only the sup-norm scan, whose polish differs,
-looks at which one it got.  Sup norms are measured on the profile's refined
-evaluation set (REFINE = 4 times finer than its storage rule or grid) and
-add a quadratic polish around the best node.
+ZonalProfile and S2Function share, and none looks at which one it got.
+Sup norms read one refined scan (`refined_extremes`): the profile's
+`_refined_scan` gives the min and max on its refined evaluation set (REFINE
+= 4 times finer than its storage rule or grid) and the lines along which
+`_polish_max` adds a quadratic polish around the best node.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .zonal import ZonalProfile
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +71,8 @@ def smooth_cutoff(n: int):
 # ---------------------------------------------------------------------------
 # sup norms
 
-def _polish_max(ts: np.ndarray, vals: np.ndarray, evaluator) -> float:
-    """One quadratic polish around the best sample of `vals` (a 1d scan)."""
-    i = int(np.argmax(vals))
+def _polish_max(ts: np.ndarray, vals: np.ndarray, i: int, evaluator) -> float:
+    """One quadratic polish around vals[i], the largest sample of a 1d scan."""
     best = float(vals[i])
     if 0 < i < vals.size - 1:
         t0, t1, t2 = ts[i - 1], ts[i], ts[i + 1]
@@ -90,28 +87,20 @@ def _polish_max(ts: np.ndarray, vals: np.ndarray, evaluator) -> float:
     return best
 
 
+def refined_extremes(f) -> tuple[float, float, float]:
+    """(min, max, sup |f|) of f on its refined evaluation set, from one
+    `_refined_scan`; the sup adds a quadratic polish along each of the
+    scan's lines (samples, values, index of the largest, evaluator)."""
+    lo, hi, lines = f._refined_scan()
+    sup = max(hi, -lo)
+    for line in lines:
+        sup = max(sup, _polish_max(*line))
+    return lo, hi, sup
+
+
 def sup_norm(f) -> float:
     """Sup of |f| on the refined evaluation set plus a quadratic polish."""
-    if isinstance(f, ZonalProfile):
-        vals = f.refined_values()
-        ts = f.refined_set()
-        up = _polish_max(ts, vals, f.eval_at)
-        dn = _polish_max(ts, -vals, lambda t: -f.eval_at(t))
-        return max(up, dn)
-    lo, hi, i, j, column = f._refined_scan()
-    best = max(hi, -lo)
-    # polish along the colatitude column through the best grid node (the
-    # poles, which close the refined set, are not grid nodes)
-    fine = f.refined_grid()
-    sgn = float(np.sign(column[i])) or 1.0
-    theta = np.arccos(fine.x)
-    phi = fine.phi[j]
-
-    def along_theta(th):
-        p = np.array([np.sin(th) * np.cos(phi), np.sin(th) * np.sin(phi), np.cos(th)])
-        return sgn * float(f.eval_at_points(p[None, :])[0])
-
-    return max(best, _polish_max(theta, sgn * column, along_theta))
+    return refined_extremes(f)[2]
 
 
 # ---------------------------------------------------------------------------

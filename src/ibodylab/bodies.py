@@ -9,7 +9,9 @@ dilations.  `intersection_body` is the one operator: it records the mean it
 divided by, so the raw transform R(rho^(d-1)) is that mean times its output.
 
 The GL(d) action on radial functions is (T f)(x) = f(Tx/|Tx|) / |Tx|,
-which corresponds to replacing the body K by T^(-1) K.
+which corresponds to replacing the body K by T^(-1) K.  A body scans its
+deviation rho - 1 on the refined set once (`StarBody.deviation_scan`): its
+radial range, its positivity there and the iteration's sup norm read that.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .analysis import refined_extremes
 from .radon import radon_geometric_s2, radon_geometric_zonal, radon_spectral
 from .sphharm import S2Function, _diagonal_image, _rotate, default_s2_grid
 from .zonal import ZonalProfile, default_rule
@@ -54,10 +57,31 @@ class StarBody:
             )
 
     @cached_property
+    def deviation_scan(self) -> tuple[float, float, float]:
+        """(min, max, sup |.|) of rho - 1 on the refined set, from its one
+        scan (`analysis.refined_extremes`), kept on the body.  rho - 1 is
+        scanned itself: read off a scan of rho, it would be all cancellation
+        near the ball.  A refined minimum of rho that is not positive (a dip
+        between the storage nodes, which the constructor checks) raises
+        PositivityError."""
+        lo, hi, sup = refined_extremes(_deviation(self.profile))
+        if not 1.0 + lo > 0.0:  # so that NaN fails too
+            raise PositivityError(f"radial function not strictly positive on the refined "
+                                  f"set (min = {1.0 + lo:.3e})")
+        return lo, hi, sup
+
+    @cached_property
     def radial_range(self) -> tuple[float, float]:
-        """(min, max) of the radial function on the profile's refined set,
-        measured at first use and kept on the body."""
-        return self.profile.refined_range()
+        """(min, max) of rho on the refined set: 1 + those of `deviation_scan`."""
+        lo, hi, _ = self.deviation_scan
+        return 1.0 + lo, 1.0 + hi
+
+
+def _deviation(f):
+    """rho - 1, the deviation from the ball, in the same representation."""
+    c = np.array(f.coeffs, dtype=float)
+    c[0] -= 1.0
+    return f.with_coeffs(c)
 
 
 def ball_body(d: int, band_limit: int, representation: str = "zonal") -> StarBody:

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _decay_tail, l2_norm, sup_norm
-from .bodies import PositivityError, StarBody, apply_linear_map, intersection_body
+from .analysis import _decay_tail, l2_norm
+from .bodies import (PositivityError, StarBody, _deviation, apply_linear_map,
+                     intersection_body)
 from .sphharm import sh_index
 from .zonal import ZonalProfile
 
@@ -40,13 +41,6 @@ class _OutsideDomain(ValueError):
 
 # ---------------------------------------------------------------------------
 # degree-2 correction map
-
-def _deviation(f):
-    """rho - 1, the deviation from the ball, in the same representation."""
-    c = np.array(f.coeffs, dtype=float)
-    c[0] -= 1.0
-    return f.with_coeffs(c)
-
 
 def fit_degree2_correction(phi) -> np.ndarray:
     """Traceless symmetric Q with (Qx, x) equal to the degree-2 harmonic
@@ -116,9 +110,10 @@ class StepRecord:
     l2 and sup are the norms of rho - 1; q_matrix is the degree-2
     correction the step applied (zero at m = 0 and unless corrected); gamma
     is the output rescale; ratio is l2 over that of the step's input (NaN at
-    m = 0); trunc_loss is the coefficient mass cut by truncation;
-    min_radial and max_radial are the state's `StarBody.radial_range`;
-    u_alpha is the decay norm when tracked.
+    m = 0); trunc_loss is the coefficient mass cut by truncation; sup,
+    min_radial and max_radial come from the state's one refined scan
+    (`StarBody.deviation_scan`), the last two as 1 + the min and max of
+    rho - 1 (`StarBody.radial_range`); u_alpha is the decay norm when tracked.
     """
     l2: float
     sup: float
@@ -141,24 +136,16 @@ def _state_record(body: StarBody, opts: IterationOptions,
     """Record of the state `body`; its ratio is its L2 deviation over
     l2_prev, the L2 deviation of the step's input (NaN for the start)."""
     dev = _deviation(body.profile)
+    _, _, sup = body.deviation_scan  # raises PositivityError first, if it must
     lo, hi = body.radial_range
-    sup = sup_norm(dev)
     u_alpha = None
     if opts.track_decay_alpha is not None:
         # approx_decay_norm(dev, alpha), reusing the sup norm of the record
         u_alpha = max(sup, _decay_tail(dev, opts.track_decay_alpha))
     l2 = l2_norm(dev)
-    return StepRecord(
-        l2=l2,
-        sup=sup,
-        q_matrix=q,
-        gamma=gamma,
-        ratio=l2 / l2_prev if l2_prev > 0.0 else math.nan,
-        trunc_loss=trunc_loss,
-        min_radial=lo,
-        max_radial=hi,
-        u_alpha=u_alpha,
-    )
+    return StepRecord(l2=l2, sup=sup, q_matrix=q, gamma=gamma,
+                      ratio=l2 / l2_prev if l2_prev > 0.0 else math.nan,
+                      trunc_loss=trunc_loss, min_radial=lo, max_radial=hi, u_alpha=u_alpha)
 
 
 def _rescaled_to_mean_one(body: StarBody) -> StarBody:
@@ -179,8 +166,8 @@ def iterate_step(body: StarBody, opts: IterationOptions) -> tuple[StarBody, Step
     skips the correction and both rescales.  The record's ratio is the L2
     deviation of the output over that of the input.  Two guards check the
     input and raise ValueError: a deviation from 1 of 1/2 or more, and a
-    correction of norm 1/2 or more.  A nonpositive output raises
-    PositivityError.
+    correction of norm 1/2 or more.  An input or output that is not
+    positive on its refined set raises PositivityError.
     """
     d = body.profile.dim
     if opts.mode != "raw":
@@ -234,8 +221,9 @@ def run_iteration(body: StarBody, opts: IterationOptions) -> IterationReport:
     deviation was monotone after the first step.  An early stop has its
     message in detail and its stopped_reason: "diverged" (a step more than
     doubled the L2 deviation or made it NaN), "nonpositive" (a step's output
-    is not positive), "left_domain" or "correction_too_large" (a later state
-    failed a guard of iterate_step).  Only a start that fails a guard raises.
+    is not positive on its refined set), "left_domain" or
+    "correction_too_large" (a later state failed a guard of iterate_step).
+    Only a start that fails a guard or is not positive raises.
     """
     if opts.mode != "raw":
         body = _rescaled_to_mean_one(body)

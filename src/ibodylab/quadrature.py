@@ -43,18 +43,9 @@ REFINE = 4  # refined_set is REFINE times finer than the storage rule or grid
 
 @dataclass(frozen=True, eq=False)
 class JacobiRule:
-    """Gauss rule for the normalized weight (1 - t^2)^exponent on [-1, 1].
-
-    Attributes
-    ----------
-    dim : int
-        Ambient sphere dimension d (the rule lives on S^(d-1)).
-    exponent : float
-        Weight exponent, (d-3)/2 for the full sphere or (d-4)/2 for a
-        subsphere section.
-    nodes, weights : ndarray
-        Nodes in increasing order; weights sum to 1.
-    """
+    """Gauss rule for the normalized weight (1 - t^2)^exponent on [-1, 1]
+    of S^(dim-1): exponent (d-3)/2 for the full sphere, (d-4)/2 for a
+    subsphere section.  Nodes increase; weights sum to 1."""
 
     dim: int
     exponent: float
@@ -121,23 +112,11 @@ def recurrence_offdiag(exponent: float, n: int) -> np.ndarray:
 
 
 def gauss_jacobi_rule(d: int, exponent: float, n: int) -> JacobiRule:
-    """Build the n-point Gauss rule for the normalized weight
-    (1 - t^2)^exponent (see the module docstring for the construction).
-
-    Parameters
-    ----------
-    d : int
-        Sphere dimension, d >= 3.
-    exponent : float
-        Must be (d-3)/2 or (d-4)/2 (the two reductions used here) and > -1.
-    n : int
-        Number of nodes, n >= 1.
-
-    Returns
-    -------
-    JacobiRule
-        Nodes symmetric about 0; weights positive, summing to 1; exact for
-        polynomials of degree <= 2n - 1.
+    """The n-point Gauss rule (n >= 1) for the normalized weight
+    (1 - t^2)^exponent on S^(d-1), d >= 3, with exponent (d-3)/2 or (d-4)/2,
+    the two reductions used here, and > -1 (the module docstring gives the
+    construction).  Its nodes are symmetric about 0 and its weights
+    positive, summing to 1; it is exact for polynomials of degree <= 2n - 1.
     """
     if int(d) != d or d < 3:
         raise ValueError(f"sphere dimension must be an integer >= 3, got {d}")

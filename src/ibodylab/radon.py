@@ -91,9 +91,7 @@ def radon_geometric_zonal(f: ZonalProfile) -> ZonalProfile:
     samples at the heights t >= 0; those at t < 0 mirror them.  The
     operator holds the subsphere averages of Z_0, Z_2, ..., Z_K at the
     storage nodes, (K/2 + 1) x ceil(order / 2) doubles, and is keyed by the
-    rule object itself and K.  It is built from the basis recurrence and
-    the subsphere rule alone and never reads the multiplier table, so the
-    route stays independent of `radon_spectral`.
+    rule object itself and K.
     """
     rule = f.rule
     out = f.coeffs[0::2] @ _zonal_operator(rule, f.band_limit)
@@ -128,13 +126,15 @@ def _s2_operator(band_limit: int, grid: S2Grid) -> tuple[np.ndarray, ...]:
     flat = np.empty(x.size * (L + 1) * (L + 2) // 2)
     ops = tuple(block.reshape(x.size, -1)
                 for block in np.split(flat, x.size * np.cumsum(np.arange(L + 1, 1, -1))))
-    orders = zip(ops, _legendre_orders(L, z.ravel()), _order_slots(L))
-    for m, (op, q, (_, _, scale)) in enumerate(orders):
+    blocks = _legendre_orders(L, z.ravel())
+    for m, (op, (_, _, scale)) in enumerate(zip(ops, _order_slots(L))):
+        q = next(blocks)  # not zipped in: zip would hold it while the next is built
         cos_m = np.cos(m * psi) * (scale / circle_points)
         # per row i: Q[l, m] at its circle points times cos m psi
         rows_q = q.reshape(q.shape[0], *psi.shape).transpose(1, 0, 2)  # (rows, l, M)
         np.matmul(rows_q, cos_m[:, :, None], out=op[:, :, None])
         op.setflags(write=False)
+        del q, rows_q  # one Legendre block alive at a time
     return ops
 
 
@@ -160,9 +160,7 @@ def radon_geometric_s2(f: S2Function) -> S2Function:
     on the band limit and the grid only: it is the cached operator
     `_s2_operator(L, grid)`, kept for the rows x >= 0, about
     (n_theta / 2)(L + 1)(L + 2) / 2 doubles.  At -x both means take the
-    sign (-1)^m.  The operator is a sum of Legendre values over circle
-    points and never reads the multiplier table, so the route stays
-    independent of `radon_spectral`.
+    sign (-1)^m.
     """
     L, grid = f.band_limit, f.grid
     ops = _s2_operator(L, grid)

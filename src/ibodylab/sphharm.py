@@ -6,24 +6,22 @@ sqrt(2l+1) P_l(cos theta) coincide with the d=3 zonal basis Z_l.  Flat
 coefficient layout: index(l, m) = l^2 + l + m, m = -l..l.
 
 Transforms are separated by order (Driscoll & Healy 1994; per-order layout
-as in SHTns, Schaeffer 2013): one generator yields the normalized associated
-Legendre blocks Q[m..L, m] from the stable recurrence (sectoral seed, then
-upward in l), and analysis and synthesis take one matrix-vector product per
-order.  Point evaluation goes through the double Fourier sphere (Merilees
-1973; Townsend, Wilber & Wright, SIAM J. Sci. Comput. 38, 2016, C403): per
-order the Legendre sum is a degree-L trigonometric polynomial in theta, got
-by one rfft of 2L + 2 samples, so N points cost a few (N x L)(L x L) products.
+as in SHTns, Schaeffer 2013): one generator, `_legendre_orders`, yields the
+normalized associated Legendre blocks Q[m..L, m] from the stable recurrence
+(sectoral seed, then upward in l), and analysis and synthesis take one
+matrix-vector product per order.  Point evaluation goes through the double
+Fourier sphere (Merilees 1973; Townsend, Wilber & Wright, SIAM J. Sci.
+Comput. 38, 2016, C403): per order the Legendre sum is a degree-L
+trigonometric polynomial in theta, got by one rfft of 2L + 2 samples.  The
+one point of the sup-norm polish skips that table: `_eval_at_point` runs
+the same recurrence in Python floats at its height.
 
-Linear maps act in their singular frame (`bodies.apply_linear_map`).
-`_rotate` turns coefficients in O(L^3): three turns about z around a fixed
-swap of x and z, whose per-degree blocks come from Wigner's d^l(pi/2) and are
-built once per band limit (Pinchon & Hoggan, J. Phys. A 40, 2007, 1597).
-`_diagonal_image` takes the diagonal part on the storage grid, where a
-diagonal map keeps each grid column on one meridian: the double Fourier
-coefficients give each column's series in the mapped colatitude, summed by
-Horner in O(L) per node, then one analysis.  The refined-set scans behind
-the sup norm and `refined_range` synthesize into one reused pair of buffers
-(`_refined_scan`); `refined_values` still returns a new array.
+Linear maps act in their singular frame (`bodies.apply_linear_map`):
+`_rotate` turns coefficients in O(L^3) (Pinchon & Hoggan, J. Phys. A 40,
+2007, 1597), and `_diagonal_image` sums the double Fourier series down each
+mapped grid column.  A state's one refined scan (`_refined_scan`, read by
+`analysis.refined_extremes`) synthesizes into a reused pair of buffers;
+`refined_values` still returns a new array.
 """
 
 from __future__ import annotations
@@ -62,26 +60,44 @@ def _band_limit(coeffs: np.ndarray) -> int:
     return L
 
 
-def _legendre_orders(band_limit: int, x: np.ndarray):
-    """Yield the blocks Q[m..L, m] at heights x, shape (L-m+1, N), m = 0..L.
+@lru_cache(maxsize=16)
+def _recurrence(band_limit: int):
+    """Per order m, the factors of `_legendre_orders` as Python floats."""
+    out = []
+    for m in range(band_limit + 1):
+        l = np.arange(m + 2, band_limit + 1)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m)).tolist()
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0)).tolist()
+        out.append((math.sqrt(2.0 * m + 3.0), list(zip(range(2, len(a) + 2), a, b)),
+                    math.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0))))
+    return out
+
+
+def _legendre_orders(band_limit: int, x):
+    """Yield the blocks Q[m..L, m] at heights x, m = 0..L: of shape
+    (L-m+1, N) for a 1d array x, lists for a Python float x (same arithmetic).
+    Q[m+1, m] = sqrt(2m+3) x Q[m, m], Q[l, m] = a_l (x Q[l-1, m] - b_l Q[l-2, m]),
+    and Q[m+1, m+1] = sqrt((2m+3)/(2m+2)) sin(theta) Q[m, m].
 
     Y_{l,0} = Q[l,0] and Y_{l,+/-m} = sqrt(2) Q[l,m] {cos, sin}(m phi) are
-    orthonormal in L^2 of the unit-mass surface measure.
+    orthonormal in L^2 of the unit-mass surface measure.  Each block is let
+    go before the next is built: a consumer that drops its own holds one.
     """
     L = band_limit
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    qmm = np.ones_like(x)
-    for m in range(L + 1):
-        q = np.empty((L - m + 1, x.size))
-        q[0] = qmm
+    point = isinstance(x, float)
+    s = math.sqrt(max(1.0 - x * x, 0.0)) if point else np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    qmm = 1.0 if point else np.ones_like(x)
+    for m, (first, steps, up) in enumerate(_recurrence(L)):
+        q = [0.0] * (L - m + 1) if point else np.empty((L - m + 1, x.size))
+        q[0] = prev = cur = qmm
         if m < L:
-            q[1] = np.sqrt(2.0 * m + 3.0) * x * qmm
-        for l in range(m + 2, L + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            q[l - m] = a * (x * q[l - m - 1] - b * q[l - m - 2])
+            q[1] = cur = first * x * qmm
+        for i, a, b in steps:
+            prev, cur = cur, a * (x * cur - b * prev)
+            q[i] = cur
         yield q
-        qmm = np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * s * qmm
+        del q, prev, cur
+        qmm = up * s * qmm
 
 
 @lru_cache(maxsize=16)
@@ -91,6 +107,15 @@ def _order_slots(band_limit: int):
     ls = [np.arange(m, band_limit + 1) for m in range(band_limit + 1)]
     return [(l * l + l + m, l * l + l - m, np.sqrt(2.0) if m else 1.0)
             for m, l in enumerate(ls)]
+
+
+@lru_cache(maxsize=16)
+def _order_major(band_limit: int):
+    """(cos slots, sin slots, factor, m) of `_order_slots` per row, flat."""
+    cos_i, sin_i, scale = zip(*_order_slots(band_limit))
+    rows = np.arange(band_limit + 1, 0, -1)
+    return (np.concatenate(cos_i), np.concatenate(sin_i), np.repeat(scale, rows),
+            np.repeat(np.arange(band_limit + 1), rows))
 
 
 @lru_cache(maxsize=64)
@@ -201,6 +226,18 @@ def eval_s2_at_points(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
             vals += np.einsum("mj,mj->j", a @ trig[parity, 0], trig[0, 1, parity::2])
             vals += np.einsum("mj,mj->j", b @ trig[parity, 0], trig[1, 1, parity::2])
     return out.reshape(np.asarray(points).shape[:-1])
+
+
+def _eval_at_point(coeffs: np.ndarray, z: float, phi: float) -> float:
+    """f at the point of height z and longitude phi, from the rows of
+    `_legendre_orders` at z in O(L^2) Python-float steps; builds no table."""
+    L = _band_limit(coeffs)
+    cos_i, sin_i, scale, m = _order_major(L)
+    folded = scale * (coeffs[cos_i] * np.cos(m * phi) + coeffs[sin_i] * np.sin(m * phi))
+    rows = []
+    for q in _legendre_orders(L, z):
+        rows += q
+    return float(folded @ np.array(rows))
 
 
 @lru_cache(maxsize=4)
@@ -356,12 +393,7 @@ def _scan_buffers(shape: tuple[int, int]) -> np.ndarray:
 class S2Function:
     """Band-limited function on S^2: flat coefficients on a storage grid;
     `values`, the grid samples, are synthesized at first read and kept.
-
-    Shares its interface with `ZonalProfile` (dim, representation, values,
-    coeffs, degrees, with_coeffs, power, energies, refined_set,
-    refined_values and refined_range), so callers branch on the
-    representation only where the algorithm differs.
-    """
+    Shares its interface with `ZonalProfile` (README, "API notes")."""
 
     dim: ClassVar[int] = 3
     representation: ClassVar[str] = "s2"
@@ -439,19 +471,13 @@ class S2Function:
         grid_vals = synthesize_s2(self.coeffs, self.refined_grid())
         return np.concatenate((grid_vals.ravel(), self._poles()))
 
-    def refined_range(self) -> tuple[float, float]:
-        """(min, max) of `refined_values`, bit for bit, from `_refined_scan`."""
-        return self._refined_scan()[:2]
-
     def _refined_scan(self):
-        """(lo, hi, i, j, column): lo and hi are the min and max of
-        `refined_values`, and column is a copy of the refined grid's column j,
-        where row i holds the grid's largest |f|.
-
-        The grid part is synthesized, as `synthesize_s2` does it, into the
-        slot's buffers, and read by argmin and argmax: no array of the
-        refined grid's size is allocated once the slot holds its shape.
-        """
+        """(lo, hi, lines): the min and max of `refined_values`, and the one
+        polish line of `analysis.refined_extremes`, the refined grid's column
+        through its largest |f|, signed to make that a maximum.  The grid part
+        is synthesized, as `synthesize_s2` does it, into the slot's buffers:
+        no array of the refined grid's size is allocated once the slot holds
+        its shape."""
         fine = self.refined_grid()
         gc, gs, cos_t, sin_t = _colatitude_sums(self.coeffs, fine)
         vals, spare = _scan_buffers(fine.weights.shape)
@@ -463,5 +489,8 @@ class S2Function:
         # np.argmax(np.abs(vals)): the first node of the larger |f|
         top = i_hi if hi > -lo else i_lo if hi < -lo else min(i_hi, i_lo)
         i, j = np.unravel_index(top, vals.shape)
-        return (float(min(lo, *poles)), float(max(hi, *poles)),
-                int(i), int(j), vals[:, j].copy())
+        sgn, phi = float(np.sign(vals[i, j])) or 1.0, float(fine.phi[j])
+        # the poles, which close the refined set, are not grid nodes
+        line = (np.arccos(fine.x), sgn * vals[:, j], int(i),
+                lambda theta: sgn * _eval_at_point(self.coeffs, math.cos(theta), phi))
+        return float(min(lo, *poles)), float(max(hi, *poles)), [line]

@@ -8,28 +8,16 @@ spherical-harmonic spaces, so every per-degree operator used in this package
 coefficients computed here.
 
 Evaluation runs the symmetric three-term recurrence of the orthonormal
-family, which is stable to degrees in the hundreds; one private generator,
+family, stable to degrees in the hundreds.  One private generator,
 `_basis_rows`, yields its rows Z_k(t) one degree at a time, and every value
-path reads it:
-
-* the basis table on a profile's storage rule (analysis in `from_values`,
-  synthesis of `values` at first read) and on its refined set (poles
-  included, so `refined_values` is one matrix-vector product) is built
-  once per rule and band limit, cached as `sphharm._grid_tables` is, and
-  read-only; only rules of the default storage order are cached, so the
-  tables of a power step's transient work rule are not kept;
-* `power(p)` runs on the nodes h >= 0 of its symmetric work rule.  Its
-  first rows Z_k(h), whole _POWER_BLOCK blocks up to the byte budget
-  _HEAD_BYTES, form a read-only head table kept in a single slot (one
-  head alive at a time: the slot is emptied before the next head is
-  built, which overwrites the old one's memory); the rows above it
-  stream a block at a time from the head's last two rows, so the
-  (pK+1)-row table is held only when it fits the budget.  f(h) and f(-h)
-  come from the head when it reaches degree K, else from one two-column
-  `_series`; the output's samples, if ever read, are synthesized then;
-* `eval_at` of a scalar height runs the recurrence in Python floats (the
-  sup-norm polish), of an array builds its table in chunks of at most
-  _CHUNK points and of at most a band-256 table's size.
+path reads it: the read-only basis tables on a profile's storage rule and on
+its refined set (poles included), cached per rule and band limit for the
+default storage order only; the streamed analysis of `power(p)` under its
+one-slot head table (`_power_head`); and `eval_at`, in Python floats for a
+scalar height (the sup-norm polish), in bounded chunks for an array.  A
+state is scanned once: `_refined_scan` is one product with the refined
+table, and the sup norm, the radial range and the positivity check of
+`bodies.StarBody.deviation_scan` read it.
 
 A second generator, `_even_rows`, yields the even rows alone, from the
 squared recurrence in u = t^2; the geometric Radon route builds its
@@ -217,14 +205,10 @@ def _series(d: int, coeffs: np.ndarray, t) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ZonalProfile:
-    """Band-limited zonal function: coefficients on a quadrature rule.
-
-    `coeffs[k]` multiplies Z_k; `values`, the samples on the rule's nodes,
-    are synthesized from them at first read and kept.
-    Shares its interface with `S2Function` (dim, representation, values,
-    coeffs, degrees, with_coeffs, power, energies, refined_set,
-    refined_values and refined_range); points are heights t in [-1, 1].
-    """
+    """Band-limited zonal function: `coeffs[k]` multiplies Z_k, on a
+    quadrature rule; `values`, the samples on its nodes, are synthesized at
+    first read and kept.  Shares its interface with `S2Function` (README,
+    "API notes"); points are heights t in [-1, 1]."""
 
     representation: ClassVar[str] = "zonal"
 
@@ -328,10 +312,13 @@ class ZonalProfile:
         """f on `refined_set`, one product with its basis table."""
         return _table(_refined_table, self.rule, self.band_limit).T @ self.coeffs
 
-    def refined_range(self) -> tuple[float, float]:
-        """(min, max) of `refined_values`."""
-        vals = self.refined_values()
-        return float(vals.min()), float(vals.max())
+    def _refined_scan(self):
+        """(lo, hi, lines): the min and max of `refined_values`, and the two
+        polish lines of `analysis.refined_extremes`, f and -f on it."""
+        vals, ts = self.refined_values(), self.refined_set()
+        i_hi, i_lo = int(np.argmax(vals)), int(np.argmin(vals))
+        lines = [(ts, vals, i_hi, self.eval_at), (ts, -vals, i_lo, lambda t: -self.eval_at(t))]
+        return float(vals[i_lo]), float(vals[i_hi]), lines
 
 
 def _check_rule(d: int, band_limit: int, rule: JacobiRule) -> None:

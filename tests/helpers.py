@@ -20,6 +20,7 @@ from ibodylab import (
     StarBody,
     ZonalProfile,
     analyze_s2,
+    default_rule,
     eval_s2_at_points,
     make_rng,
     sh_degrees,
@@ -80,6 +81,18 @@ def random_zonal_body(d: int, band_limit: int, seed: int, scale: float,
                       decay: float = 1.0) -> StarBody:
     """Ball plus a random even zonal perturbation scaled to sup norm `scale`."""
     return _ball_plus(random_even_zonal(d, band_limit, seed, decay), scale)
+
+
+def dipping_zonal_body() -> StarBody:
+    """An even d = 3 body, band 4, positive at every storage node but below
+    0 between two of them: (t^2 - c^2)^2 / c^2 - h^2 / 2, with c midway
+    between the storage nodes around 1/2 and h their spacing.  The quartic
+    is about 4 (t - c)^2 near c, so h^2 / 2 at those nodes and -h^2 / 2 at c."""
+    rule = default_rule(3, 4)
+    t = rule.nodes
+    i = int(np.searchsorted(t, 0.5))
+    c, h = 0.5 * (t[i - 1] + t[i]), t[i] - t[i - 1]
+    return StarBody(ZonalProfile.from_values(3, 4, (t * t - c * c) ** 2 / (c * c) - 0.5 * h * h, rule))
 
 
 def tangent_frame(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,8 +20,10 @@ from ibodylab import (
     sh_degrees,
     zonal_basis_matrix,
 )
+from ibodylab.bodies import _deviation
 from helpers import (
     ball_volume,
+    dipping_zonal_body,
     direct_linear_image,
     random_even_s2,
     random_points_on_sphere,
@@ -64,11 +66,23 @@ def test_radial_is_even():
 def test_radial_range_is_measured_once_on_the_refined_set(rep):
     body = s2_body(10, seed=3, scale=0.1) if rep == "s2" else zonal_body(
         5, 12, {2: 0.05, 4: -0.02})
+    # the range is 1 + the extremes of the deviation's one scan, not a
+    # second scan of rho
     lo, hi = body.radial_range
     assert body.radial_range is body.radial_range
-    vals = body.profile.refined_values()
+    vals = 1.0 + _deviation(body.profile).refined_values()
     assert (lo, hi) == (float(vals.min()), float(vals.max()))
     assert lo < 1.0 < hi
+
+
+def test_refined_positivity_catches_a_dip_between_nodes():
+    # the constructor checks the storage nodes only; the body's one refined
+    # scan sees the dip between two of them
+    body = dipping_zonal_body()
+    assert body.profile.values.min() > 0.0
+    assert body.profile.refined_values().min() < 0.0
+    with pytest.raises(PositivityError, match="not strictly positive on the refined set"):
+        body.radial_range
 
 
 def test_rejects_nonpositive_radial():

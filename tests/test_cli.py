@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import ibodylab
 from ibodylab import cli, make_rng
 from ibodylab.cli import main
-from helpers import zonal_body
+from helpers import dipping_zonal_body, zonal_body
 
 # `python -m ibodylab` in a child process finds the package under test
 # even when it is not installed
@@ -504,6 +504,29 @@ def test_nonpositive_step_is_exit_1_with_partial_report(tmp_path, capsys):
     assert doc["ok"] is False
     assert doc["summary"]["stopped_reason"] == "nonpositive"
     assert "not strictly positive" in doc["summary"]["diverged"]
+    assert len(doc["rows"]) == 1
+
+
+def test_start_dipping_between_nodes_is_exit_2(tmp_path, capsys, monkeypatch):
+    # a start positive at its storage nodes but not on its refined set
+    monkeypatch.setattr(cli, "_start_body", lambda cfg: dipping_zonal_body())
+    code, _, err = run_cli(["iterate", "--band-limit", "4", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "not strictly positive on the refined set" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_state_dipping_between_nodes_is_exit_1_with_partial_report(tmp_path, capsys,
+                                                                   monkeypatch):
+    dip = dipping_zonal_body()
+    monkeypatch.setattr(ibodylab.iteration, "intersection_body", lambda body, method: (
+        ibodylab.StarBody(dip.profile, meta={"trunc_loss": 0.0, "mean_power": 1.0})))
+    code, _, _ = run_cli(["iterate", "--band-limit", "4", "--steps", "3",
+                          "--out", str(tmp_path)], capsys)
+    assert code == 1
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["summary"]["stopped_reason"] == "nonpositive"
+    assert "on the refined set" in doc["summary"]["diverged"]
     assert len(doc["rows"]) == 1
 
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ibodylab import (
     IterationOptions,
+    PositivityError,
     S2Function,
     StarBody,
     ZonalProfile,
@@ -25,6 +26,7 @@ from ibodylab import (
     sup_norm,
 )
 from helpers import (
+    dipping_zonal_body,
     quadratic_form_profile,
     random_even_s2,
     random_even_zonal,
@@ -345,6 +347,27 @@ def test_nonpositive_step_stops_with_the_partial_report():
     assert rep.detail.endswith("at step 1")
 
 
+def test_start_that_dips_between_nodes_raises():
+    # positive at every storage node, negative on the refined set: a start
+    # that fails raises, as the guards do
+    with pytest.raises(PositivityError, match="on the refined set"):
+        run_iteration(dipping_zonal_body(), IterationOptions())
+
+
+def test_state_that_dips_between_nodes_stops_the_run(monkeypatch):
+    # a later state that passes the storage-node check of the constructor
+    # but dips below 0 between nodes stops the run as nonpositive
+    import ibodylab.iteration as iteration
+
+    dip = dipping_zonal_body()
+    monkeypatch.setattr(iteration, "intersection_body", lambda body, method: StarBody(
+        dip.profile, meta={"trunc_loss": 0.0, "mean_power": 1.0}))
+    rep = run_iteration(zonal_body(3, 4, {2: 0.01}), IterationOptions(max_steps=3))
+    assert rep.stopped_reason == "nonpositive"
+    assert len(rep.records) == 1
+    assert "on the refined set" in rep.detail and rep.detail.endswith("at step 1")
+
+
 def test_divergence_guard_sees_nan(monkeypatch):
     import ibodylab.iteration as iteration
 
@@ -408,11 +431,11 @@ def test_tracked_norms_stay_sane():
 
 
 @pytest.mark.parametrize("steps", [1, 3])
-def test_s2_run_synthesizes_the_refined_grid_twice_per_state(steps, monkeypatch):
-    # a state's radial range is measured once, for its record, and the next
-    # step's guard reads it back from the body; the record's sup norm of
-    # rho - 1 is the one other refined synthesis of each state.  Both scan
-    # the refined grid in `_refined_scan`'s reused buffers
+def test_s2_run_synthesizes_the_refined_grid_once_per_state(steps, monkeypatch):
+    # a state's deviation rho - 1 is scanned once, for its record (sup norm
+    # and radial range), and the next step's guard reads the range back from
+    # the body: one refined synthesis per state, in `_refined_scan`'s reused
+    # buffers
     body = s2_body(8, seed=41, scale=0.01)
     calls = []
     real = S2Function._refined_scan
@@ -424,7 +447,25 @@ def test_s2_run_synthesizes_the_refined_grid_twice_per_state(steps, monkeypatch)
     monkeypatch.setattr(S2Function, "_refined_scan", counted)
     rep = run_iteration(body, IterationOptions(max_steps=steps))
     assert len(rep.records) == steps + 1
-    assert len(calls) == 2 + 2 * steps
+    assert len(calls) == 1 + steps
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_zonal_run_reads_the_refined_table_once_per_state(steps, monkeypatch):
+    # the zonal counterpart: one product with the refined basis table per
+    # state, shared by the record's sup norm, its radial range and the guard
+    body = zonal_body(5, 12, {2: 0.05, 4: -0.02})
+    calls = []
+    real = ZonalProfile.refined_values
+
+    def counted(self):
+        calls.append(self.band_limit)
+        return real(self)
+
+    monkeypatch.setattr(ZonalProfile, "refined_values", counted)
+    rep = run_iteration(body, IterationOptions(max_steps=steps))
+    assert len(rep.records) == steps + 1
+    assert len(calls) == 1 + steps
 
 
 def test_s2_corrected_step_memory():

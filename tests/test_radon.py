@@ -26,6 +26,7 @@ from ibodylab import (
     subsphere_rule,
 )
 from ibodylab.radon import _s2_operator, _zonal_operator
+from ibodylab.sphharm import _recurrence
 from helpers import (
     pointwise_radon_s2,
     random_even_s2,
@@ -271,6 +272,25 @@ def test_geometric_zonal_cold_build_memory():
         tracemalloc.stop()
     assert _zonal_operator.cache_info().misses == 1
     assert peak < 8e6
+
+
+def test_s2_operator_build_holds_one_legendre_block():
+    # the build drops each Legendre block at the circle points before the
+    # next is made: at L = 64 it peaks at the operator it keeps plus 1.15x
+    # the largest block (4.9 MB), where holding two blocks reached 3.1x
+    L = 64
+    grid = default_s2_grid(L)
+    _recurrence(L)  # its cached factors are not part of the bound
+    rows = grid.n_theta - grid.n_theta // 2
+    largest = (L + 1) * rows * (2 * L + 9) * 8
+    tracemalloc.start()
+    try:
+        ops = _s2_operator.__wrapped__(L, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(op.nbytes for op in ops)
+    assert peak < kept + 1.2 * largest
 
 
 @pytest.mark.parametrize("band_limit", [8, 24, 40])

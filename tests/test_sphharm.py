@@ -15,9 +15,11 @@ from ibodylab import (
     s2_grid,
     sh_degrees,
     sh_index,
+    sup_norm,
     synthesize_s2,
 )
-from ibodylab.sphharm import _rotate, _swap_blocks
+from ibodylab.sphharm import (_eval_at_point, _legendre_orders, _recurrence, _rotate,
+                               _swap_blocks)
 from helpers import order_sum_eval, random_even_s2, random_points_on_sphere, random_s2
 
 
@@ -148,6 +150,60 @@ def test_eval_at_points_matches_order_sums_property(band_limit, seed):
     assert gap <= 1e-13 * np.abs(coeffs).sum()
 
 
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(band_limit=st.integers(4, 48), seed=st.integers(0, 2**32 - 1))
+def test_point_evaluator_matches_order_sums_property(band_limit, seed):
+    # the one-point evaluator of the sup-norm polish, (height, longitude)
+    # in Python floats, against the per-order Legendre sums
+    f = random_s2(band_limit, seed=seed)
+    pts = np.concatenate((random_points_on_sphere(20, 3, seed=seed), _special_points()))
+    got = [_eval_at_point(f.coeffs, float(z), float(np.arctan2(y, x))) for x, y, z in pts]
+    assert np.abs(np.array(got) - order_sum_eval(f.coeffs, pts)).max() <= 1e-13
+
+
+def test_point_evaluator_builds_no_table(monkeypatch):
+    # the S^2 sup-norm polish evaluates its one point without the double
+    # Fourier table of eval_s2_at_points
+    import ibodylab.sphharm as sphharm
+
+    def fail(*args):
+        raise AssertionError("the polish rebuilt the double Fourier table")
+
+    f = random_even_s2(16, seed=8)
+    lo, hi, _ = f._refined_scan()
+    points = []
+    real = sphharm._eval_at_point
+
+    def counted(coeffs, z, phi):
+        points.append(z)
+        return real(coeffs, z, phi)
+
+    monkeypatch.setattr(sphharm, "_dfs_coeffs", fail)
+    monkeypatch.setattr(sphharm, "eval_s2_at_points", fail)
+    monkeypatch.setattr(sphharm, "_eval_at_point", counted)
+    assert sup_norm(f) > max(hi, -lo)
+    assert len(points) == 1
+
+
+def test_legendre_orders_hold_one_block_at_a_time():
+    # the generator lets go of block m before it builds block m + 1, so a
+    # consumer that drops its own holds one block: 1.11x the largest block
+    # at L = 64 (2.02x when both were alive)
+    x = np.linspace(-0.99, 0.99, 2000)
+    _recurrence(64)  # its cached factors are not part of the bound
+    largest = 0
+    tracemalloc.start()
+    try:
+        for q in _legendre_orders(64, x):
+            largest = max(largest, q.nbytes)
+            del q
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert largest == 65 * x.nbytes
+    assert peak < 1.2 * largest
+
+
 def test_eval_at_points_memory_is_linear_in_band():
     # an (L+1)^2 x N Legendre table alone would be 1681 * 20000 * 8 = 269 MB
     f = random_even_s2(40, seed=5)
@@ -220,8 +276,9 @@ def test_swap_blocks_are_symmetric_involutions():
 @pytest.mark.parametrize("band_limit", [4, 12, 32])
 def test_refined_scan_reads_refined_values_bit_for_bit(band_limit):
     # the scan synthesizes into reused buffers and reads extremes by argmin
-    # and argmax; it must agree exactly with refined_values and with
-    # np.argmax(np.abs(.)) on its grid part, including the ties of constants
+    # and argmax; it must agree exactly with refined_values, and its polish
+    # line with np.argmax(np.abs(.)) on its grid part, including the ties of
+    # constants; the line's evaluator meets the column at its nodes
     fs = [random_s2(band_limit, seed=s) for s in range(3)]
     for c0 in (1.0, -2.0, 0.0):
         c = np.zeros((band_limit + 1) ** 2)
@@ -231,10 +288,15 @@ def test_refined_scan_reads_refined_values_bit_for_bit(band_limit):
         vals = f.refined_values()
         fine = f.refined_grid()
         grid_vals = vals[:fine.weights.size].reshape(fine.weights.shape)
-        lo, hi, i, j, column = f._refined_scan()
-        assert (lo, hi) == (float(vals.min()), float(vals.max())) == f.refined_range()
-        assert (i, j) == np.unravel_index(np.argmax(np.abs(grid_vals)), grid_vals.shape)
-        assert np.array_equal(column, grid_vals[:, j])
+        lo, hi, [(theta, column, best, along)] = f._refined_scan()
+        assert (lo, hi) == (float(vals.min()), float(vals.max()))
+        i, j = np.unravel_index(np.argmax(np.abs(grid_vals)), grid_vals.shape)
+        sgn = np.sign(grid_vals[i, j]) or 1.0
+        assert np.array_equal(column, sgn * grid_vals[:, j]) and np.argmax(column) == best == i
+        assert np.array_equal(theta, np.arccos(fine.x))
+        scale = max(1.0, np.abs(grid_vals).max())
+        for k in (0, i, fine.n_theta - 1):
+            assert abs(along(theta[k]) - column[k]) <= 1e-13 * scale
 
 
 def test_refined_values_is_a_fresh_array():
@@ -247,7 +309,8 @@ def test_refined_values_is_a_fresh_array():
     first[:] = np.nan
     assert np.array_equal(f.refined_values(), kept)
     again = f._refined_scan()
-    assert again[:4] == scan[:4] and np.array_equal(again[4], scan[4])
-    scan[4][:] = np.nan
-    assert np.array_equal(f._refined_scan()[4], again[4])
+    column = again[2][0][1]
+    assert again[:2] == scan[:2] and np.array_equal(column, scan[2][0][1])
+    scan[2][0][1][:] = np.nan
+    assert np.array_equal(f._refined_scan()[2][0][1], column)
 
