@@ -10,14 +10,14 @@ coefficients computed here.
 Evaluation runs the symmetric three-term recurrence of the orthonormal
 family, stable to degrees in the hundreds.  One private generator,
 `_basis_rows`, yields its rows Z_k(t) one degree at a time, and every value
-path reads it: the read-only basis tables on a profile's storage rule and on
-its refined set (poles included), cached per rule and band limit for the
-default storage order only; the streamed analysis of `power(p)` under its
-one-slot head table (`_power_head`); and `eval_at`, in Python floats for a
-scalar height (the sup-norm polish), in bounded chunks for an array.  A
-state is scanned once: `_refined_scan` is one product with the refined
-table, and the sup norm, the radial range and the positivity check of
-`bodies.StarBody.deviation_scan` read it.
+path reads it.  A storage rule (order 2K + 8) and its refined set (poles
+included) have read-only basis tables, cached per rule and band limit.
+Other rules, as the work rule of `power(p)`, keep no table: they analyse by
+`_folded_analysis`, under a one-slot head table (`_work_head`), and
+synthesize by `eval_at`, which runs in bounded chunks for an array and in
+Python floats for a scalar height (the sup-norm polish).  A state is scanned
+once: `_refined_scan` is one product with the refined table, which
+`bodies.StarBody.deviation_scan` reads for the sup norm, range and positivity.
 
 A second generator, `_even_rows`, yields the even rows alone, from the
 squared recurrence in u = t^2; the geometric Radon route builds its
@@ -37,10 +37,10 @@ import numpy as np
 from .quadrature import REFINE, JacobiRule, gauss_jacobi_rule, recurrence_offdiag
 
 _CHUNK = 16384  # points per basis table in _series, up to band 256
-_POWER_BLOCK = 64  # basis rows per block of the streamed analysis in power
-_HEAD_BYTES = 4_000_000  # budget of the head table power keeps (_power_head)
+_POWER_BLOCK = 64  # basis rows per block of the streamed _folded_analysis
+_HEAD_BYTES = 4_000_000  # budget of the head table it keeps (_work_head)
 
-# power's one head slot: its key (d, p K), the head, and the memory heads are
+# the one head slot: its key (rule, band), the head, and the memory heads are
 # written into, reused from head to head and grown only when a head needs more
 _head_slot = {"key": None, "head": None, "memory": np.empty(0)}
 
@@ -150,29 +150,19 @@ def _refined_table(rule: JacobiRule, kmax: int) -> np.ndarray:
     return table
 
 
-def _table(build, rule: JacobiRule, kmax: int):
-    """`build(rule, kmax)`, cached when `rule` has the default storage order
-    2 kmax + 8, as the rules every step revisits do.  A power step's work
-    rule (order kmax + 8) is transient, so its tables are built per call
-    and not kept."""
-    if rule.order == 2 * kmax + 8:
-        return build(rule, kmax)
-    return build.__wrapped__(rule, kmax)
+def _work_head(rule: JacobiRule, k: int) -> np.ndarray:
+    """Z_0..Z_(R-1) at the nodes h >= 0 of `rule`, read-only, for the folded
+    analysis at band k.  R is the largest multiple of _POWER_BLOCK that is at
+    most k + 1 and whose rows fit in _HEAD_BYTES (0 rows if none do), so the
+    head ends on a block boundary of the streamed analysis.
 
-
-def _power_head(d: int, k: int, h: np.ndarray) -> np.ndarray:
-    """Z_0..Z_(R-1) at the nodes h >= 0 of the band-k work rule of `power`,
-    read-only.  R is the largest multiple of _POWER_BLOCK that is at most
-    k + 1 and whose rows fit in _HEAD_BYTES (0 rows if none do), so the head
-    ends on a block boundary of the streamed analysis.
-
-    The last head built lives in a single slot keyed by (d, k).  The slot is
-    emptied before a new head is built, and the new head overwrites the old
-    one's memory, so at most one head is alive and switching heads frees and
-    allocates no large block (which raised a run's peak RSS as the heap
-    fragmented)."""
-    slot = _head_slot
-    if slot["key"] != (d, k):
+    The last head built lives in a single slot keyed by (rule, k), as two
+    rules of one band have different nodes.  The slot is emptied before a
+    new head is built, and the new head overwrites the old one's memory, so
+    at most one head is alive and switching heads frees and allocates no
+    large block (which raised a run's peak RSS as the heap fragmented)."""
+    slot, h = _head_slot, rule.nodes[rule.order // 2:]
+    if slot["key"] != (rule, k):
         rows = min(_HEAD_BYTES // h.nbytes, k + 1) // _POWER_BLOCK * _POWER_BLOCK
         if rows == 0:
             return np.empty((0, h.size))
@@ -181,11 +171,36 @@ def _power_head(d: int, k: int, h: np.ndarray) -> np.ndarray:
             slot["memory"] = np.empty(0)  # drop the smaller memory first
             slot["memory"] = np.empty(rows * h.size)
         head = slot["memory"][:rows * h.size].reshape(rows, h.size)
-        for i, row in enumerate(_basis_rows(d, rows - 1, h)):
+        for i, row in enumerate(_basis_rows(rule.dim, rows - 1, h)):
             head[i] = row
         head.setflags(write=False)
-        slot.update(key=(d, k), head=head)
+        slot.update(key=(rule, k), head=head)
     return slot["head"]
+
+
+def _folded_analysis(rule: JacobiRule, k: int, plus: np.ndarray,
+                     minus: np.ndarray) -> np.ndarray:
+    """Coefficients 0..k from f(h) (`plus`) and f(-h) (`minus`) at the nodes
+    h >= 0 of a rule symmetric about 0, as every `gauss_jacobi_rule` is
+    exactly (checked bit for bit for d = 3..7 at orders 2-119 and 520-1544).
+    As Z_k(-t) = (-1)^k Z_k(t), degree k reads sum_h w Z_k(h) (f(h) +- f(-h)),
+    + for even k, with a centre node 0 at half weight.  Rows up to a byte
+    budget come from `_work_head`; those above it stream _POWER_BLOCK at a
+    time from the head's last two rows, so no (k+1)-row table is held."""
+    w = rule.weights[rule.order // 2:].copy()
+    w[:rule.order % 2] /= 2.0
+    head = _work_head(rule, k)
+    wsum, wdiff = w * (plus + minus), w * (plus - minus)
+    coeffs = np.empty(k + 1)
+    rows = _basis_rows(rule.dim, k, rule.nodes[rule.order // 2:], head)
+    for lo in range(0, k + 1, _POWER_BLOCK):  # lo is even
+        if lo < len(head):
+            blk = head[lo:lo + _POWER_BLOCK]
+        else:
+            blk = np.array(list(islice(rows, _POWER_BLOCK)))
+        coeffs[lo:lo + _POWER_BLOCK:2] = blk[0::2] @ wsum
+        coeffs[lo + 1:lo + _POWER_BLOCK:2] = blk[1::2] @ wdiff
+    return coeffs
 
 
 def _series(d: int, coeffs: np.ndarray, t) -> np.ndarray:
@@ -220,13 +235,15 @@ class ZonalProfile:
     @classmethod
     def from_values(cls, d: int, band_limit: int, values: np.ndarray,
                     rule: JacobiRule | None = None) -> "ZonalProfile":
-        if rule is None:
-            rule = default_rule(d, band_limit)
-        _check_rule(d, band_limit, rule)
+        rule = _checked_rule(d, band_limit, rule)
         values = np.asarray(values, dtype=float)
         if values.shape != rule.nodes.shape:
             raise ValueError("values do not match the rule's nodes")
-        coeffs = _table(_storage_table, rule, band_limit) @ (rule.weights * values)
+        if rule.order == 2 * band_limit + 8:
+            coeffs = _storage_table(rule, band_limit) @ (rule.weights * values)
+        else:  # f(h) and f(-h) at the nodes h >= 0
+            n = rule.order // 2
+            coeffs = _folded_analysis(rule, band_limit, values[n:], values[::-1][n:])
         return cls(d, band_limit, rule, coeffs)
 
     @classmethod
@@ -234,16 +251,15 @@ class ZonalProfile:
                     rule: JacobiRule | None = None) -> "ZonalProfile":
         coeffs = np.asarray(coeffs, dtype=float)
         band_limit = coeffs.size - 1
-        if rule is None:
-            rule = default_rule(d, band_limit)
-        _check_rule(d, band_limit, rule)
-        return cls(d, band_limit, rule, coeffs)
+        return cls(d, band_limit, _checked_rule(d, band_limit, rule), coeffs)
 
     @cached_property
     def values(self) -> np.ndarray:
         """f on the rule's nodes: the band-limited part, synthesized from
         the coefficients at first read."""
-        return _table(_storage_table, self.rule, self.band_limit).T @ self.coeffs
+        if self.rule.order == 2 * self.band_limit + 8:
+            return _storage_table(self.rule, self.band_limit).T @ self.coeffs
+        return self.eval_at(self.rule.nodes)
 
     def eval_at(self, t) -> np.ndarray | float:
         """f at heights t.  A scalar t runs the recurrence in Python floats
@@ -266,51 +282,32 @@ class ZonalProfile:
             self.dim, coeffs, self.rule if coeffs.size == self.coeffs.size else None)
 
     def power(self, p: int) -> "ZonalProfile":
-        """f^p at band p K, sampled on a rule exact for its analysis.
-
-        The work rule is symmetric and Z_k(-t) = (-1)^k Z_k(t), so only its
-        nodes h >= 0 are used: degree k reads sum_h w Z_k(h) (f(h)^p +-
-        f(-h)^p), + for even k, with a centre node 0 at half weight.  The rows
-        Z_k(h) up to a byte budget come from the cached head table of
-        `_power_head`; those above it stream _POWER_BLOCK at a time, resuming
-        the recurrence from the head's last two rows.  When the head reaches
-        degree K, f(h) and f(-h) are read from it too.
-        """
+        """f^p at band p K on its work rule (order p K + 8), by `_folded_analysis`;
+        f(h) and f(-h) at its nodes h >= 0 come from the head when it reaches K."""
         d, k = self.dim, p * self.band_limit
         work = gauss_jacobi_rule(d, sphere_exponent(d), k + 8)
-        h, w = work.nodes[work.order // 2:], work.weights[work.order // 2:].copy()
-        w[:work.order % 2] /= 2.0
-        head = _power_head(d, k, h)
+        head = _work_head(work, k)
         mirrored = np.stack((self.coeffs, (-1.0) ** self.degrees * self.coeffs), axis=1)
         if len(head) > self.band_limit:
             fh = head[:self.band_limit + 1].T @ mirrored
         else:
-            fh = _series(d, mirrored, h)
+            fh = _series(d, mirrored, work.nodes[work.order // 2:])
         plus, minus = fh.T ** p  # f(h)^p and f(-h)^p
-        wsum, wdiff = w * (plus + minus), w * (plus - minus)
-        coeffs = np.empty(k + 1)
-        rows = _basis_rows(d, k, h, head)
-        for lo in range(0, k + 1, _POWER_BLOCK):  # lo is even
-            if lo < len(head):
-                blk = head[lo:lo + _POWER_BLOCK]
-            else:
-                blk = np.array(list(islice(rows, _POWER_BLOCK)))
-            coeffs[lo:lo + _POWER_BLOCK:2] = blk[0::2] @ wsum
-            coeffs[lo + 1:lo + _POWER_BLOCK:2] = blk[1::2] @ wdiff
-        return ZonalProfile(d, k, work, coeffs)
+        return ZonalProfile(d, k, work, _folded_analysis(work, k, plus, minus))
 
     def energies(self) -> np.ndarray:
         """Per-degree energies e_k = coeffs[k]^2."""
         return self.coeffs**2
 
     def refined_set(self) -> np.ndarray:
-        """Heights of the dense evaluation set: the Gauss rule REFINE
-        times finer than the storage rule, with the poles -1 and 1 added."""
+        """Heights of the dense evaluation set (`_refined_heights`)."""
         return _refined_heights(self.rule)
 
     def refined_values(self) -> np.ndarray:
         """f on `refined_set`, one product with its basis table."""
-        return _table(_refined_table, self.rule, self.band_limit).T @ self.coeffs
+        if self.rule.order == 2 * self.band_limit + 8:
+            return _refined_table(self.rule, self.band_limit).T @ self.coeffs
+        return self.eval_at(self.refined_set())
 
     def _refined_scan(self):
         """(lo, hi, lines): the min and max of `refined_values`, and the two
@@ -321,7 +318,9 @@ class ZonalProfile:
         return float(vals[i_lo]), float(vals[i_hi]), lines
 
 
-def _check_rule(d: int, band_limit: int, rule: JacobiRule) -> None:
+def _checked_rule(d: int, band_limit: int, rule: JacobiRule | None) -> JacobiRule:
+    """`rule`, or the default rule of band `band_limit` if None, once checked."""
+    rule = default_rule(d, band_limit) if rule is None else rule
     if rule.dim != d:
         raise ValueError(f"rule dimension {rule.dim} does not match d={d}")
     if abs(rule.exponent - sphere_exponent(d)) > 1e-12:
@@ -330,3 +329,4 @@ def _check_rule(d: int, band_limit: int, rule: JacobiRule) -> None:
         raise ValueError(
             f"rule order {rule.order} cannot resolve band limit {band_limit}"
         )
+    return rule

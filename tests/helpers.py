@@ -1,7 +1,8 @@
 """Shared builders for randomized test inputs, closed-form references, and
 independent oracles: the direct section-volume quadrature that checks
 `intersection_body` (its output times meta["mean_power"] is the raw
-transform R(rho^(d-1))), the unfolded geometric zonal route and the
+transform R(rho^(d-1))), the direct zonal analysis on any rule that checks
+the folded one of work rules, the unfolded geometric zonal route and the
 pointwise geometric S^2 route that check the cached quadrature operators
 of `radon`, the per-order point evaluation that checks the
 double-Fourier-sphere evaluator, and the direct S^2 linear map that
@@ -26,6 +27,7 @@ from ibodylab import (
     sh_degrees,
     subsphere_rule,
     sup_norm,
+    zonal_basis_matrix,
 )
 from ibodylab.cli import _random_even_zonal, _random_s2
 from ibodylab.sphharm import _band_limit, _grid_tables, _legendre_orders, _order_slots
@@ -195,7 +197,15 @@ def unfolded_radon_zonal(f: ZonalProfile) -> ZonalProfile:
     radial = np.sqrt(np.clip(1.0 - f.rule.nodes**2, 0.0, None))
     args = np.outer(radial, sub.nodes)
     out_vals = f.eval_at(args.ravel()).reshape(args.shape) @ sub.weights
-    return ZonalProfile.from_values(f.dim, f.band_limit, out_vals, f.rule)
+    return ZonalProfile.from_coeffs(
+        f.dim, direct_zonal_analysis(f.rule, f.band_limit, out_vals), f.rule)
+
+
+def direct_zonal_analysis(rule, band_limit: int, values: np.ndarray) -> np.ndarray:
+    """Coefficients 0..K of `values` on every node of `rule`: the whole basis
+    table times the weighted samples, unfolded and unstreamed.  The reference
+    for `ZonalProfile.from_values` on rules that are not storage rules."""
+    return zonal_basis_matrix(rule.dim, band_limit, rule.nodes) @ (rule.weights * values)
 
 
 def pointwise_radon_s2(f: S2Function) -> S2Function:

@@ -14,6 +14,7 @@ from ibodylab import (
     default_rule,
     default_s2_grid,
     gauss_jacobi_rule,
+    intersection_body,
     l2_norm,
     radon_geometric_s2,
     radon_geometric_zonal,
@@ -34,6 +35,7 @@ from helpers import (
     random_s2,
     random_zonal,
     unfolded_radon_zonal,
+    zonal_body,
 )
 
 ORACLE_TOL = 1e-8
@@ -256,6 +258,32 @@ def test_geometric_zonal_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_geometric_zonal_odd_degrees_vanish_on_work_rules(d):
+    # the route's output is exactly even in t, and the folded analysis of a
+    # work rule reads f(h) - f(-h) = 0, so the odd coefficients are exactly
+    # 0; the full-table analysis left 2.1e-17 to 2.1e-14 here
+    pe = random_even_zonal(d, 24, seed=d).power(d - 1)
+    assert pe.rule.order != 2 * pe.band_limit + 8
+    assert np.all(radon_geometric_zonal(pe).coeffs[1::2] == 0.0)
+
+
+def test_geometric_intersection_body_memory_d7():
+    # a warm geometric step at d = 7, K = 256 analyses the band-1536 output
+    # of the power step on its order-1544 work rule by the folded, streamed
+    # analysis: 1.3 MB (tracemalloc), where the whole basis table of that
+    # rule took 19.1 MB
+    body = zonal_body(7, 256, {2: 0.05, 4: -0.02, 6: 0.01})
+    intersection_body(body, "geometric")  # build the rules and the operator
+    tracemalloc.start()
+    try:
+        intersection_body(body, "geometric")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_geometric_zonal_cold_build_memory():

@@ -5,7 +5,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ibodylab import (
     ZonalProfile,
@@ -17,7 +17,7 @@ from ibodylab import (
 )
 from ibodylab import zonal
 from ibodylab.zonal import _even_rows, _refined_table, _series, _storage_table
-from helpers import random_even_zonal, random_zonal
+from helpers import direct_zonal_analysis, random_even_zonal, random_zonal
 
 
 def test_degree_zero_is_constant_one():
@@ -120,7 +120,10 @@ def test_work_rule_tables_are_not_kept():
     h = ZonalProfile.from_values(5, g.band_limit, g.values, g.rule)
     h.with_coeffs(h.coeffs).refined_values()
     assert (_storage_table.cache_info(), _refined_table.cache_info()) == before
-    assert np.abs(h.refined_values() - h.eval_at(h.refined_set())).max() <= 1e-13
+    want = direct_zonal_analysis(g.rule, g.band_limit, g.values)
+    assert np.abs(h.coeffs - want).max() <= 1e-14 * np.abs(want).max()
+    refined = zonal_basis_matrix(5, h.band_limit, h.refined_set()).T @ h.coeffs
+    assert np.abs(h.refined_values() - refined).max() <= 1e-14 * np.abs(refined).max()
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
@@ -144,10 +147,12 @@ def test_streamed_power_matches_full_analysis(d):
         k = p * f.band_limit
         got = f.power(p)
         work = gauss_jacobi_rule(d, sphere_exponent(d), k + 8)
-        want = ZonalProfile.from_values(d, k, f.eval_at(work.nodes) ** p, work)
+        table = zonal_basis_matrix(d, k, work.nodes)
+        want = direct_zonal_analysis(work, k, f.eval_at(work.nodes) ** p)
         assert got.rule is work and got.band_limit == k
-        assert np.abs(got.coeffs - want.coeffs).max() <= 1e-14 * np.abs(want.coeffs).max()
-        assert np.abs(got.values - want.values).max() <= 1e-14 * np.abs(want.values).max()
+        assert np.abs(got.coeffs - want).max() <= 1e-14 * np.abs(want).max()
+        want_values = table.T @ want
+        assert np.abs(got.values - want_values).max() <= 1e-14 * np.abs(want_values).max()
 
 
 def test_streamed_power_memory():
@@ -216,7 +221,8 @@ def test_power_keeps_one_head_in_reused_memory(head_budget):
     try:
         for f in fs:
             f.power(f.dim - 1)
-            assert zonal._head_slot["key"] == (f.dim, (f.dim - 1) * 256)
+            work = gauss_jacobi_rule(f.dim, sphere_exponent(f.dim), (f.dim - 1) * 256 + 8)
+            assert zonal._head_slot["key"] == (work, (f.dim - 1) * 256)
             if f.dim == 5:
                 grown = zonal._head_slot["memory"]
         _, peak = tracemalloc.get_traced_memory()
@@ -224,6 +230,26 @@ def test_power_keeps_one_head_in_reused_memory(head_budget):
         tracemalloc.stop()
     assert zonal._head_slot["memory"] is grown
     assert peak < zonal._HEAD_BYTES + 2e6
+
+
+def test_head_is_keyed_by_rule_not_band(head_budget, monkeypatch):
+    # power(3) of a band-5 profile in d = 4 heads its order-23 work rule at
+    # band 15; an analysis on the order-53 rule of the same band must build
+    # its own head, not read that one, and power(3) then rebuilds its own.
+    # Blocks of 4 rows give a 16-row head at band 15, where blocks of 64
+    # give none
+    head_budget(zonal._HEAD_BYTES)
+    monkeypatch.setattr(zonal, "_POWER_BLOCK", 4)
+    f = random_zonal(4, 5, seed=11)
+    first = f.power(3)
+    assert first.rule.order == 23 and len(zonal._head_slot["head"]) == 16
+    rule = gauss_jacobi_rule(4, 0.5, 53)
+    vals = make_rng(11).standard_normal(rule.order)
+    got = ZonalProfile.from_values(4, 15, vals, rule).coeffs
+    want = direct_zonal_analysis(rule, 15, vals)
+    assert zonal._head_slot["key"] == (rule, 15)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.array_equal(f.power(3).coeffs, first.coeffs)
 
 
 def test_failed_head_build_leaves_no_stale_head(head_budget, monkeypatch):
@@ -299,3 +325,22 @@ def test_zonal_round_trip_property(d, band_limit, seed):
     f = ZonalProfile.from_coeffs(d, c)
     back = ZonalProfile.from_values(d, band_limit, f.values, f.rule).coeffs
     assert np.max(np.abs(back - c)) <= 1e-15 * (band_limit + 1) * max(1.0, np.abs(c).max())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(3, 7), order=st.integers(1, 200), k=st.integers(0, 199),
+       seed=st.integers(0, 2**32 - 1))
+@example(d=4, order=53, k=15, seed=0)
+@example(d=6, order=200, k=150, seed=0)
+def test_folded_analysis_matches_direct_property(d, order, k, seed):
+    # from_values on a rule that is not a storage rule (order != 2K + 8), of
+    # odd or even order, folds its mirror nodes and streams the rows; the
+    # whole basis table times the weighted samples is the reference.  Over
+    # 400 draws of these inputs the worst read 1.7e-15 of max |want|
+    k = min(k, order - 1)
+    assume(order != 2 * k + 8)
+    rule = gauss_jacobi_rule(d, sphere_exponent(d), order)
+    vals = make_rng(seed).standard_normal(order)
+    got = ZonalProfile.from_values(d, k, vals, rule).coeffs
+    want = direct_zonal_analysis(rule, k, vals)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
