@@ -170,7 +170,7 @@ def radon_geometric_s2(f: S2Function) -> S2Function:
     sign = (-1.0) ** np.arange(L + 1)[:, None, None]
     mirror = sign * half[:, grid.n_theta % 2:][:, ::-1]  # no mirror of a centre row
     c, s = np.concatenate((mirror, half), axis=1).T    # each (n_theta, L + 1)
-    _, cos_t, sin_t = _grid_tables(L, grid)
+    cos_t, sin_t = _grid_tables(L, grid)[1]
     return S2Function.from_values(L, c @ cos_t + s @ sin_t, grid)
 
 

@@ -5,23 +5,31 @@ orthonormal for it, so Y_{0,0} = 1 and the zonal members Y_{l,0}(x) =
 sqrt(2l+1) P_l(cos theta) coincide with the d=3 zonal basis Z_l.  Flat
 coefficient layout: index(l, m) = l^2 + l + m, m = -l..l.
 
-Transforms are separated by order (Driscoll & Healy 1994; per-order layout
-as in SHTns, Schaeffer 2013): one generator, `_legendre_orders`, yields the
-normalized associated Legendre blocks Q[m..L, m] from the stable recurrence
-(sectoral seed, then upward in l), and analysis and synthesis take one
-matrix-vector product per order.  Point evaluation goes through the double
-Fourier sphere (Merilees 1973; Townsend, Wilber & Wright, SIAM J. Sci.
-Comput. 38, 2016, C403): per order the Legendre sum is a degree-L
-trigonometric polynomial in theta, got by one rfft of 2L + 2 samples.  The
-one point of the sup-norm polish skips that table: `_eval_at_point` runs
-the same recurrence in Python floats at its height.
+Transforms are separated by order (Driscoll & Healy 1994) and folded by
+equatorial symmetry, as in SHTns (Schaeffer, Geochem. Geophys. Geosyst. 14,
+2013, 751): one generator, `_legendre_orders`, yields the normalized
+associated Legendre blocks Q[m..L, m] from the stable recurrence (sectoral
+seed, then upward in l).  The sample heights come in mirrored pairs x and
+-x, and Q[l, m](-x) = (-1)^(l-m) Q[l, m](x), so the cached table
+(`_fold_legendre`) keeps the rows at x >= 0 only, split by the parity of
+l - m and zero-padded in stacks of _ORDER_BIN orders.  Analysis projects
+the sums of mirrored rows on the even rows and their differences on the
+odd ones; synthesis runs the same products the other way, even + odd on
+the northern rows and even - odd on the southern ones: one batched product
+per stack and parity, and one scatter or gather through precomputed
+slots.  Point evaluation goes through the double Fourier sphere (Merilees
+1973; Townsend, Wilber & Wright, SIAM J. Sci. Comput. 38, 2016, C403): per
+order the Legendre sum is a degree-L trigonometric polynomial in theta,
+got by one rfft of 2L + 2 samples, themselves a folded synthesis at
+mirrored heights.  The one point of the sup-norm polish skips that table:
+`_eval_at_point` runs the same recurrence in Python floats at its height.
 
 Linear maps act in their singular frame (`bodies.apply_linear_map`):
 `_rotate` turns coefficients in O(L^3) (Pinchon & Hoggan, J. Phys. A 40,
 2007, 1597), and `_diagonal_image` sums the double Fourier series down each
-mapped grid column.  A state's one refined scan (`_refined_scan`, read by
-`analysis.refined_extremes`) synthesizes into a reused pair of buffers;
-`refined_values` still returns a new array.
+mapped grid column into reused buffers.  A state's one refined scan
+(`_refined_scan`, read by `analysis.refined_extremes`) synthesizes into a
+reused buffer; `refined_values` still returns a new array.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from .quadrature import REFINE, S2Grid, s2_grid
 _BUDGET = 2**17  # values per (L+1)-row table of a chunk in eval_s2_at_points
 _CHUNK = 4096  # grid nodes per chunk of _diagonal_image's complex Horner sums
 _SWAP_BIN = 8  # degrees per zero-padded stack of swap blocks (_swap_blocks)
+_ORDER_BIN = 8  # orders per zero-padded stack of the folded Legendre table
 
 def sh_index(l: int, m: int) -> int:
     """Flat index of the real harmonic (l, m) in coefficient arrays."""
@@ -118,14 +127,103 @@ def _order_major(band_limit: int):
             np.repeat(np.arange(band_limit + 1), rows))
 
 
+@lru_cache(maxsize=16)
+def _fold_slots(band_limit: int):
+    """(slots, stacks) of the folded Legendre stage.
+
+    stacks holds (lo, hi, parts) per _ORDER_BIN orders m = lo..hi-1, and
+    parts[p] = (offset, rows) for the degrees l = m + p + 2j, j < rows, of
+    parity p = (l - m) mod 2, padded to the rows of order lo.  The block
+    slots[offset:offset + (hi - lo) 2 rows], of shape (hi - lo, 2, rows),
+    holds the flat slots of (l, m) [0] and (l, -m) [1]; padding and the
+    sine of m = 0 take (L+1)^2, one past the end.
+    """
+    L = band_limit
+    sign = np.array([1, -1])[:, None]
+    slots, stacks, offset = [], [], 0
+    for lo in range(0, L + 1, _ORDER_BIN):
+        hi = min(lo + _ORDER_BIN, L + 1)
+        m = np.arange(lo, hi)[:, None, None]
+        parts = []
+        for p in (0, 1):
+            rows = (L - lo - p) // 2 + 1
+            l = m + p + 2 * np.arange(rows)
+            block = np.where((l <= L) & ((sign > 0) | (m > 0)), l * l + l + sign * m, (L + 1) ** 2)
+            slots.append(block.ravel())
+            parts.append((offset, rows))
+            offset += block.size
+        stacks.append((lo, hi, tuple(parts)))
+    return np.concatenate(slots), stacks
+
+
+def _fold_legendre(band_limit: int, x: np.ndarray):
+    """The folded Legendre table at heights x >= 0: per stack of
+    `_fold_slots`, (even, odd) of shapes (hi - lo, rows, x.size), whose row
+    j of order m is scale Q[m + p + 2j, m](x) (zero past L), scale the
+    factor from Q[l, m] to Y_{l,+/-m}.  Q[l, m](-x) = (-1)^(l-m) Q[l, m](x)
+    gives the rows at -x.  Each order block of `_legendre_orders` is copied
+    into the kept stacks and let go before the next is built."""
+    L = band_limit
+    table = [tuple(np.zeros((hi - lo, rows, x.size)) for _, rows in parts)
+             for lo, hi, parts in _fold_slots(L)[1]]
+    blocks = _legendre_orders(L, x)
+    for m in range(L + 1):
+        q = next(blocks)
+        for p, tab in enumerate(table[m // _ORDER_BIN]):
+            np.multiply(q[p::2], math.sqrt(2.0) if m else 1.0,
+                        out=tab[m % _ORDER_BIN, :(L - m - p) // 2 + 1])
+        del q  # one Legendre block alive at a time
+    for pair in table:
+        for tab in pair:
+            tab.setflags(write=False)
+    return table
+
+
+def _fold_analysis(band_limit: int, table, north: np.ndarray, south: np.ndarray,
+                   weights: np.ndarray) -> np.ndarray:
+    """Flat coefficients from the longitude sums, each (2, L+1, heights)
+    for [cos, sin] x m x height, at the table's heights (north) and at
+    their mirrors (south): per stack, the weighted sums of the mirrored
+    rows meet the even rows and their differences the odd rows in one
+    batched product each, and one scatter places every coefficient."""
+    slots, stacks = _fold_slots(band_limit)
+    res = np.empty(slots.size)
+    for (lo, hi, parts), tabs in zip(stacks, table):
+        n, s = north[:, lo:hi], south[:, lo:hi]
+        for (offset, rows), tab, folded in zip(parts, tabs, (n + s, n - s)):
+            folded *= weights
+            out = res[offset:offset + (hi - lo) * 2 * rows].reshape(hi - lo, 2, rows)
+            np.matmul(folded.transpose(1, 0, 2), tab.transpose(0, 2, 1), out=out)
+    coeffs = np.empty((band_limit + 1) ** 2 + 1)
+    coeffs[slots] = res
+    return coeffs[:-1]
+
+
+def _fold_synthesis(coeffs: np.ndarray, table, north: np.ndarray, south: np.ndarray) -> None:
+    """Write the order sums sum_l c[l, m] [0] and c[l, -m] [1] times the
+    table, shape (L+1, 2, heights), into north and at the mirrored heights
+    into south: per stack, the even and the odd rows of l - m in one
+    batched product each, north = even + odd and south = even - odd."""
+    L = _band_limit(coeffs)
+    slots, stacks = _fold_slots(L)
+    c = np.append(coeffs, 0.0)[slots]
+    for (lo, hi, parts), tabs in zip(stacks, table):
+        even, odd = (np.matmul(c[offset:offset + (hi - lo) * 2 * rows].reshape(hi - lo, 2, rows), tab)
+                     for (offset, rows), tab in zip(parts, tabs))
+        np.add(even, odd, out=north[lo:hi])
+        np.subtract(even, odd, out=south[lo:hi])
+
+
 @lru_cache(maxsize=64)
 def _grid_tables(band_limit: int, grid: S2Grid):
-    """Per-grid tables: per-order Legendre blocks, cos/sin longitude tables."""
-    q = list(_legendre_orders(band_limit, grid.x))
-    m = np.arange(band_limit + 1)[:, None]
-    cos_t = np.cos(m * grid.phi[None, :])
-    sin_t = np.sin(m * grid.phi[None, :])
-    return q, cos_t, sin_t
+    """Per-grid tables: the folded Legendre table on the rows x >= 0 (the
+    centre row first when n_theta is odd; `s2_grid` mirrors its heights
+    exactly), and the longitude table trig,
+    shape (2, L+1, n_phi), of cos m phi [0] and sin m phi [1]."""
+    m_phi = np.arange(band_limit + 1)[:, None] * grid.phi[None, :]
+    trig = np.stack((np.cos(m_phi), np.sin(m_phi)))
+    trig.setflags(write=False)
+    return _fold_legendre(band_limit, grid.x[grid.n_theta // 2:]), trig
 
 
 @lru_cache(maxsize=64)
@@ -141,43 +239,49 @@ def analyze_s2(band_limit: int, values: np.ndarray, grid: S2Grid) -> np.ndarray:
         raise ValueError(
             f"grid (exact to degree {grid.exact_degree}) cannot analyze band {L}"
         )
-    q, cos_t, sin_t = _grid_tables(L, grid)
+    table, trig = _grid_tables(L, grid)
     values = np.asarray(values, dtype=float)
     if values.shape != grid.weights.shape:
         raise ValueError("values do not match the grid shape")
-    # longitude averages per order m, then weighted colatitude projections
-    wfc = grid.w_theta[:, None] * (values @ cos_t.T) / grid.n_phi   # (n_theta, L+1)
-    wfs = grid.w_theta[:, None] * (values @ sin_t.T) / grid.n_phi
-    coeffs = np.empty((L + 1) ** 2)
-    for m, (qm, (cos_i, sin_i, scale)) in enumerate(zip(q, _order_slots(L))):
-        coeffs[sin_i] = scale * (qm @ wfs[:, m])  # sine first: at m = 0 slots coincide
-        coeffs[cos_i] = scale * (qm @ wfc[:, m])
-    return coeffs
+    # longitude sums per order m, then the mirrored rows' sums and differences
+    n = grid.n_theta
+    lon = (trig.reshape(2 * L + 2, -1) @ values.T).reshape(2, L + 1, n)
+    w = grid.w_theta[n // 2:] / grid.n_phi
+    if n % 2:
+        w[0] *= 0.5  # the centre row is its own mirror
+    return _fold_analysis(L, table, lon[..., n // 2:], lon[..., (n - 1) // 2::-1], w)
 
 
 def _colatitude_sums(coeffs: np.ndarray, grid: S2Grid):
-    """(gc, gs, cos_t, sin_t): the grid values are gc @ cos_t + gs @ sin_t."""
+    """(sums, trig): the grid values are sums @ trig, sums of shape
+    (n_theta, 2L + 2) holding each row's cos and then its sin order sums."""
     L = _band_limit(coeffs)
-    q, cos_t, sin_t = _grid_tables(L, grid)
-    gc, gs = np.empty((2, grid.n_theta, L + 1))
-    for m, (qm, (cos_i, sin_i, scale)) in enumerate(zip(q, _order_slots(L))):
-        gc[:, m] = scale * (coeffs[cos_i] @ qm)
-        gs[:, m] = scale * (coeffs[sin_i] @ qm)  # meets sin(0 phi) = 0 at m = 0
-    return gc, gs, cos_t, sin_t
+    table, trig = _grid_tables(L, grid)
+    n = grid.n_theta
+    sums = np.empty((2, L + 1, n))  # [cos, sin] x m x row
+    _fold_synthesis(coeffs, table, sums[..., n // 2:].transpose(1, 0, 2),
+                    sums[..., (n - 1) // 2::-1].transpose(1, 0, 2))
+    return sums.reshape(2 * L + 2, n).T, trig.reshape(2 * L + 2, -1)
 
 
 def synthesize_s2(coeffs: np.ndarray, grid: S2Grid) -> np.ndarray:
     """Grid values of the function with the given flat coefficients."""
-    gc, gs, cos_t, sin_t = _colatitude_sums(np.asarray(coeffs, dtype=float), grid)
-    out = gc @ cos_t
-    out += gs @ sin_t
-    return out
+    sums, trig = _colatitude_sums(np.asarray(coeffs, dtype=float), grid)
+    return sums @ trig
+
+
+def _dfs_heights(L: int) -> np.ndarray:
+    """cos(pi k / (L + 1)), k = 0..L+1: the half k < (L + 1) / 2, a centre
+    0 when L is odd, and the mirror of the half, so that the heights are
+    exactly antisymmetric."""
+    half = np.cos(np.pi * np.arange(L // 2 + 1) / (L + 1))
+    return np.concatenate((half, [0.0] * (L % 2), -half[::-1]))
 
 
 @lru_cache(maxsize=16)
 def _dfs_legendre(L: int):
-    """Per-order Legendre blocks at the colatitudes pi k / (L + 1), k = 0..L+1."""
-    return list(_legendre_orders(L, np.cos(np.pi * np.arange(L + 2) / (L + 1))))
+    """The folded Legendre table at the heights `_dfs_heights(L)` >= 0."""
+    return _fold_legendre(L, _dfs_heights(L)[:(L + 1) // 2 + 1])
 
 
 def _dfs_coeffs(coeffs: np.ndarray, band_limit: int):
@@ -188,9 +292,10 @@ def _dfs_coeffs(coeffs: np.ndarray, band_limit: int):
     sin m phi); one rfft of the samples at pi k / (L + 1), extended by
     a_m(2 pi - theta) = (-1)^m a_m."""
     L = band_limit
+    h = (L + 1) // 2 + 1  # the heights >= 0
     samples = np.empty((2, L + 1, 2 * L + 2))
-    for m, (qm, (cos_i, sin_i, scale)) in enumerate(zip(_dfs_legendre(L), _order_slots(L))):
-        samples[:, m, :L + 2] = scale * (coeffs[np.stack((cos_i, sin_i))] @ qm)
+    _fold_synthesis(coeffs, _dfs_legendre(L), samples[:, :, :h].transpose(1, 0, 2),
+                    samples[:, :, L + 1:L - h + 1:-1].transpose(1, 0, 2))
     samples[:, :, L + 2:] = samples[:, :, L:0:-1]
     samples[:, 1::2, L + 2:] *= -1.0
     spec = np.fft.rfft(samples, axis=-1)[..., :L + 1] / (L + 1)
@@ -354,8 +459,10 @@ def _diagonal_image(coeffs: np.ndarray, sigma, grid: S2Grid) -> np.ndarray:
     even, odd = _dfs_coeffs(coeffs, L)
     s1, s2, s3 = sigma
     x = grid.x[:, None]
-    vals = np.empty(grid.weights.shape)
     cols = max(1, _CHUNK // grid.n_theta)
+    # reused: fresh pages per call cost faults once freed memory is trimmed
+    vals = _buffers("image", grid.weights.shape)
+    w_buf, acc_buf = _buffers("horner", (2, grid.n_theta, min(cols, grid.n_phi)), complex)
     for lo in range(0, grid.n_phi, cols):
         x_col, y_col = s1 * np.cos(grid.phi[lo:lo + cols]), s2 * np.sin(grid.phi[lo:lo + cols])
         m_phi = np.arange(L + 1)[:, None] * np.arctan2(y_col, x_col)
@@ -363,30 +470,30 @@ def _diagonal_image(coeffs: np.ndarray, sigma, grid: S2Grid) -> np.ndarray:
         # per column: the cos j theta' coefficients minus i those of sin j theta'
         series = (even[0].T @ cos_m[0::2] + even[1].T @ sin_m[0::2]
                   - 1j * (odd[0].T @ cos_m[1::2] + odd[1].T @ sin_m[1::2]))
-        w = np.empty((grid.n_theta, x_col.size), dtype=complex)  # |Sx| e^{i theta'}
+        w, acc = w_buf[:, :x_col.size], acc_buf[:, :x_col.size]  # |Sx| e^{i theta'}, the sum
         np.multiply(s3, x, out=w.real)
         np.multiply(np.sqrt(1.0 - x * x), np.hypot(x_col, y_col), out=w.imag)
         norm = np.abs(w)
         w /= norm
-        acc = np.repeat(series[L][None, :], grid.n_theta, axis=0)
+        acc[:] = series[L]
         for j in range(L - 1, -1, -1):
             acc *= w
             acc += series[j]
-        vals[:, lo:lo + cols] = acc.real / norm
+        np.divide(acc.real, norm, out=vals[:, lo:lo + cols])
     return analyze_s2(L, vals, grid)
 
 
-# the refined scan's one slot: two buffers of the refined grid's shape,
-# reused while that shape holds; their contents never leave this module
-_scan_slot = {"shape": None, "buffers": None}
+# one slot per use: buffers reused while their shape holds; their contents
+# never leave this module
+_slots: dict[str, tuple] = {}
 
 
-def _scan_buffers(shape: tuple[int, int]) -> np.ndarray:
-    slot = _scan_slot
-    if slot["shape"] != shape:
-        slot.update(shape=None, buffers=None)  # free the old pair first
-        slot.update(shape=shape, buffers=np.empty((2,) + shape))
-    return slot["buffers"]
+def _buffers(use: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    kept = _slots.get(use)
+    if kept is None or kept[0] != shape:
+        _slots.pop(use, None)  # free the old buffer first
+        _slots[use] = (shape, np.empty(shape, dtype))
+    return _slots[use][1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,14 +582,12 @@ class S2Function:
         """(lo, hi, lines): the min and max of `refined_values`, and the one
         polish line of `analysis.refined_extremes`, the refined grid's column
         through its largest |f|, signed to make that a maximum.  The grid part
-        is synthesized, as `synthesize_s2` does it, into the slot's buffers:
+        is synthesized, as `synthesize_s2` does it, into the slot's buffer:
         no array of the refined grid's size is allocated once the slot holds
         its shape."""
         fine = self.refined_grid()
-        gc, gs, cos_t, sin_t = _colatitude_sums(self.coeffs, fine)
-        vals, spare = _scan_buffers(fine.weights.shape)
-        np.matmul(gc, cos_t, out=vals)
-        vals += np.matmul(gs, sin_t, out=spare)
+        sums, trig = _colatitude_sums(self.coeffs, fine)
+        vals = np.matmul(sums, trig, out=_buffers("scan", fine.weights.shape))
         i_hi, i_lo = int(np.argmax(vals)), int(np.argmin(vals))
         hi, lo = float(vals.flat[i_hi]), float(vals.flat[i_lo])
         poles = self._poles()

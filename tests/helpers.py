@@ -5,8 +5,10 @@ transform R(rho^(d-1))), the direct zonal analysis on any rule that checks
 the folded one of work rules, the unfolded geometric zonal route and the
 pointwise geometric S^2 route that check the cached quadrature operators
 of `radon`, the per-order point evaluation that checks the
-double-Fourier-sphere evaluator, and the direct S^2 linear map that
-checks `apply_linear_map`'s singular-frame one.
+double-Fourier-sphere evaluator, the per-order S^2 analysis, synthesis and
+double Fourier series on whole grid columns that check the folded, batched
+transforms, and the direct S^2 linear map that checks `apply_linear_map`'s
+singular-frame one.
 
 Everything random routes through make_rng so each test pins its own seed
 and reruns reproduce the same numbers bit for bit.
@@ -225,7 +227,7 @@ def pointwise_radon_s2(f: S2Function) -> S2Function:
         cos_m, sin_m = np.cos(m * psi), np.sin(m * psi)
         c[:, m] = (a * cos_m + b * sin_m).mean(axis=1)
         s[:, m] = (b * cos_m - a * sin_m).mean(axis=1)
-    _, cos_t, sin_t = _grid_tables(L, grid)
+    cos_t, sin_t = _grid_tables(L, grid)[1]
     return S2Function.from_values(L, c @ cos_t + s @ sin_t, grid)
 
 
@@ -236,6 +238,49 @@ def _order_sums(coeffs: np.ndarray, band_limit: int, z: np.ndarray):
     orders = zip(_legendre_orders(band_limit, z), _order_slots(band_limit))
     for m, (qm, (cos_i, sin_i, scale)) in enumerate(orders):
         yield m, scale, coeffs[cos_i] @ qm, coeffs[sin_i] @ qm
+
+
+def unfolded_synthesize_s2(coeffs: np.ndarray, grid) -> np.ndarray:
+    """Grid values summed order by order on every grid row, each order's
+    Legendre sums times cos and sin m phi: the reference for the folded,
+    batched `synthesize_s2`."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    out = np.zeros(grid.weights.shape)
+    for m, scale, a, b in _order_sums(coeffs, _band_limit(coeffs), grid.x):
+        out += scale * (np.outer(a, np.cos(m * grid.phi)) + np.outer(b, np.sin(m * grid.phi)))
+    return out
+
+
+def unfolded_analyze_s2(band_limit: int, values: np.ndarray, grid) -> np.ndarray:
+    """Coefficients of the band-limited part of grid samples, projected
+    order by order on every grid row with one matrix-vector product each:
+    the reference for the folded, batched `analyze_s2`."""
+    m_phi = np.arange(band_limit + 1)[:, None] * grid.phi
+    wfc = grid.w_theta[:, None] * (values @ np.cos(m_phi).T) / grid.n_phi
+    wfs = grid.w_theta[:, None] * (values @ np.sin(m_phi).T) / grid.n_phi
+    coeffs = np.empty((band_limit + 1) ** 2)
+    orders = zip(_legendre_orders(band_limit, grid.x), _order_slots(band_limit))
+    for m, (qm, (cos_i, sin_i, scale)) in enumerate(orders):
+        coeffs[sin_i] = scale * (qm @ wfs[:, m])  # sine first: at m = 0 slots coincide
+        coeffs[cos_i] = scale * (qm @ wfc[:, m])
+    return coeffs
+
+
+def unfolded_dfs_coeffs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The double Fourier series of `sphharm._dfs_coeffs`, from the order
+    sums at every colatitude pi k / (L + 1), k = 0..L+1, with cos taken at
+    each, extended to the full circle and put through one rfft: the
+    reference for the folded `_dfs_coeffs`."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    L = _band_limit(coeffs)
+    samples = np.empty((2, L + 1, 2 * L + 2))
+    for m, scale, a, b in _order_sums(coeffs, L, np.cos(np.pi * np.arange(L + 2) / (L + 1))):
+        samples[:, m, :L + 2] = scale * a, scale * b * (m > 0)  # b meets sin 0 phi = 0
+    samples[:, :, L + 2:] = samples[:, :, L:0:-1]
+    samples[:, 1::2, L + 2:] *= -1.0
+    spec = np.fft.rfft(samples, axis=-1)[..., :L + 1] / (L + 1)
+    spec[..., 0] *= 0.5
+    return spec[:, 0::2].real, -spec[:, 1::2].imag
 
 
 def order_sum_eval(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from ibodylab import (
     sphere_exponent,
     subsphere_rule,
 )
+from ibodylab import radon, sphharm
 from ibodylab.radon import _s2_operator, _zonal_operator
 from ibodylab.sphharm import _recurrence
 from helpers import (
@@ -319,6 +320,20 @@ def test_s2_operator_build_holds_one_legendre_block():
         tracemalloc.stop()
     kept = sum(op.nbytes for op in ops)
     assert peak < kept + 1.2 * largest
+
+
+def test_s2_operator_never_reads_the_folded_table(monkeypatch):
+    # the geometric operator builds its own per-order blocks from
+    # _legendre_orders, so the dual-route oracle shares no Legendre table
+    # with the transforms it checks
+    def refuse(*args, **kwargs):
+        raise AssertionError("the geometric operator read the folded Legendre table")
+
+    for name in ("_fold_legendre", "_fold_analysis", "_fold_synthesis", "_grid_tables"):
+        monkeypatch.setattr(sphharm, name, refuse)
+    monkeypatch.setattr(radon, "_grid_tables", refuse)
+    ops = _s2_operator.__wrapped__(12, default_s2_grid(12))
+    assert len(ops) == 13
 
 
 @pytest.mark.parametrize("band_limit", [8, 24, 40])

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ibodylab import (
     S2Function,
@@ -18,9 +18,11 @@ from ibodylab import (
     sup_norm,
     synthesize_s2,
 )
-from ibodylab.sphharm import (_eval_at_point, _legendre_orders, _recurrence, _rotate,
-                               _swap_blocks)
-from helpers import order_sum_eval, random_even_s2, random_points_on_sphere, random_s2
+from ibodylab.sphharm import (_dfs_coeffs, _dfs_heights, _eval_at_point, _fold_legendre,
+                               _fold_slots, _grid_tables, _legendre_orders, _recurrence,
+                               _rotate, _swap_blocks)
+from helpers import (order_sum_eval, random_even_s2, random_points_on_sphere, random_s2,
+                     unfolded_analyze_s2, unfolded_dfs_coeffs, unfolded_synthesize_s2)
 
 
 def test_index_layout():
@@ -202,6 +204,65 @@ def test_legendre_orders_hold_one_block_at_a_time():
         tracemalloc.stop()
     assert largest == 65 * x.nbytes
     assert peak < 1.2 * largest
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(band_limit=st.integers(0, 48), extra=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
+@example(band_limit=0, extra=0, seed=0)  # the level-0 grid: one centre row
+def test_folded_transforms_match_unfolded_property(band_limit, extra, seed):
+    # the folded, batched Legendre stage against the per-order products on
+    # whole grid columns, on grids of odd and even n_theta: analysis of
+    # samples that are not band-limited, synthesis, and the double Fourier
+    # series of _dfs_coeffs
+    L, grid = band_limit, s2_grid(band_limit + extra)
+    rng = make_rng(seed)
+    values = rng.standard_normal(grid.weights.shape)
+    want = unfolded_analyze_s2(L, values, grid)
+    assert np.max(np.abs(analyze_s2(L, values, grid) - want)) <= 1e-13 * np.max(np.abs(want))
+    coeffs = rng.standard_normal((L + 1) ** 2)
+    want = unfolded_synthesize_s2(coeffs, grid)
+    assert np.max(np.abs(synthesize_s2(coeffs, grid) - want)) <= 1e-13 * np.max(np.abs(want))
+    for got, want in zip(_dfs_coeffs(coeffs, L), unfolded_dfs_coeffs(coeffs)):
+        if want.size:
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_grid_and_dfs_heights_are_exact_mirrors():
+    # the fold reads the rows at -x off the rows at x, so the heights must
+    # be antisymmetric to the bit; cos(pi k / (L + 1)) alone is not (it
+    # misses at 300 of L = 0..300), so _dfs_heights mirrors one half
+    for level in range(301):
+        x = s2_grid(level).x
+        assert np.array_equal(x, -x[::-1])
+    for L in range(301):
+        x = _dfs_heights(L)
+        assert np.array_equal(x, -x[::-1])
+        assert np.max(np.abs(x - np.cos(np.pi * np.arange(L + 2) / (L + 1)))) <= 6e-16
+
+
+def test_folded_table_build_holds_one_legendre_block():
+    # the build copies each order block into the kept stacks and lets it go
+    # before the next: the peak is the kept table plus one block
+    x = np.linspace(0.0, 0.99, 2000)
+    _recurrence(64), _fold_slots(64)  # cached factors and slots are not part of the bound
+    tracemalloc.start()
+    try:
+        table = _fold_legendre(64, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(tab.nbytes for pair in table for tab in pair)
+    assert peak < kept + 1.2 * 65 * x.nbytes
+
+
+def test_folded_table_bytes():
+    # rows x >= 0 only, split by the parity of l - m, padded per stack of 8
+    # orders: 0.56 of the (L+1)(L+2)/2 rows at every height, band 64 on the
+    # storage grid of band 32 (73 rows)
+    L, grid = 64, default_s2_grid(32)
+    table = _grid_tables(L, grid)[0]
+    held = sum(tab.nbytes for pair in table for tab in pair)
+    assert held <= 0.6 * (L + 1) * (L + 2) // 2 * grid.n_theta * 8
 
 
 def test_eval_at_points_memory_is_linear_in_band():
